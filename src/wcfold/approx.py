@@ -10,14 +10,20 @@ other, outside-in, which always yields at least floor(min(#odd-1,
 arms run along two adjacent rows, each pair sits in its own column, the
 leftover nodes between consecutive paired nodes loop away from the
 interface inside the two columns they span, and the stretch between the
-innermost pair routes around the open end.  Construction time is linear in
-the chain length.
+innermost pair routes around the open end.
+
+Planning (plan_fold) and building (build_folding) are separate steps, so a
+caller can report the plan that was actually built.  The sweep makes one
+pass per side-role assignment, fewer than 4L steps per relabel branch
+(fold edges visited plus pointer advances);
+test_approx_linear_operation_growth in tests/test_approx.py counts them.  The construction places each node once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .bounds import parity_census
 from .model import Chain, Folding, score, validate_folding
 
 LABEL_ODD1 = "odd-1"
@@ -49,22 +55,17 @@ class RelabeledChain:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """A fold edge, the nested bond pairs, and the arm row assignment.
+    """A fold edge, the nested bond pairs, and where they came from.
 
     matched_pairs are (left, right) chain indices, left <= fold_index <
-    right, nested outside-in.  The left arm occupies top_row and the right
-    arm bottom_row; pair t (outermost first) sits in column pair_columns[t].
+    right, nested outside-in.  left_class is the label class on the left
+    arm, and branch is the relabel branch whose classes were paired.
     """
 
     fold_index: int
     matched_pairs: tuple[tuple[int, int], ...]
     left_class: str
-    top_row: int = 1
-    bottom_row: int = 0
-
-    @property
-    def pair_columns(self) -> tuple[int, ...]:
-        return tuple(2 * t for t in range(len(self.matched_pairs)))
+    branch: str
 
 
 def _relabel_as(chain: Chain, branch: str) -> RelabeledChain:
@@ -82,16 +83,13 @@ def relabel(chain: Chain) -> RelabeledChain:
     """Rename the dominant parity classes to odd-1/even-1, the rest to 0."""
     if set(chain.seq) - {"G", "C"}:
         raise ScopeError("the approximation applies to chains over G and C only")
-    odd_g = sum(1 for i, b in enumerate(chain.seq, 1) if b == "G" and i % 2)
-    even_g = sum(1 for i, b in enumerate(chain.seq, 1) if b == "G" and not i % 2)
-    odd_c = sum(1 for i, b in enumerate(chain.seq, 1) if b == "C" and i % 2)
-    even_c = sum(1 for i, b in enumerate(chain.seq, 1) if b == "C" and not i % 2)
-    if min(odd_g, even_c) >= min(even_g, odd_c):
+    c = parity_census(chain)
+    if min(c.odd_g, c.even_c) >= min(c.even_g, c.odd_c):
         return _relabel_as(chain, BRANCH_ODDG_EVENC)
     return _relabel_as(chain, BRANCH_EVENG_ODDC)
 
 
-def _pairing(left: list[int], right: list[int], take: int) -> list[tuple[int, int]]:
+def _pairing(left: tuple[int, ...], right: tuple[int, ...], take: int) -> list[tuple[int, int]]:
     """Nested outside-in pairing of the first `take` left nodes with the
     last `take` right nodes.  A chain-adjacent innermost pair cannot bond
     (it only occurs when the fold edge sits exactly between the two), so it
@@ -102,44 +100,103 @@ def _pairing(left: list[int], right: list[int], take: int) -> list[tuple[int, in
     return pairs
 
 
-def choose_fold_point(relabeled: RelabeledChain) -> FoldPlan:
+def _sweep_role(
+    left: tuple[int, ...], right: tuple[int, ...], length: int
+) -> tuple[int, int, int, int, int]:
+    """One pass over the fold edges with `left`'s class on the left arm.
+
+    Returns (pairs, -|2f - L|, f, take, steps) for the best edge f; ties
+    keep the smaller edge.  As f moves right, a pointer into each position
+    list counts that class's nodes at or left of f, so take = min(#left <=
+    f, #right > f) needs no rescan.  _pairing drops the innermost pair when
+    it is chain-adjacent, which happens exactly when the take-th left node
+    is f and its partner is f + 1, so that is one lookup too.  steps counts
+    the fold edges visited plus the pointer advances.
+    """
+    n_left, n_right = len(left), len(right)
+    i = j = 0  # nodes of each class at or left of the fold edge
+    steps = 0
+    best_pairs, best_centre, best_f, best_take = -1, 0, 0, 0
+    for f in range(1, length):
+        steps += 1
+        while i < n_left and left[i] <= f:
+            i += 1
+            steps += 1
+        while j < n_right and right[j] <= f:
+            j += 1
+            steps += 1
+        # min(i, n_right - j) inline: the call took a third of the pass
+        take = i if i < n_right - j else n_right - j
+        pairs = take
+        if take and left[take - 1] == f and right[n_right - take] == f + 1:
+            pairs -= 1
+        if pairs >= best_pairs:
+            centre = -abs(2 * f - length)
+            if pairs > best_pairs or centre > best_centre:
+                best_pairs, best_centre, best_f, best_take = pairs, centre, f, take
+    return best_pairs, best_centre, best_f, best_take, steps
+
+
+def choose_fold_point(relabeled: RelabeledChain, *, _stats: dict | None = None) -> FoldPlan:
     """Sweep every fold edge and side-role assignment for the most pairs.
 
     Ties prefer the fold edge closest to the middle of the chain, then the
-    smaller edge, then odd-1 on the left arm.
+    smaller edge, then odd-1 on the left arm.  Each role is one linear
+    pass (_sweep_role); the keys (pairs, -|2f-L|, role preference) of the
+    two roles never tie, so the better of the two per-role bests is the
+    best overall.  Pairs are built for the winning edge only.  With
+    _stats, "sweep_steps" is set to the steps both passes took.
     """
     length = len(relabeled.chain)
+    branch = relabeled.branch
     if length < 2:
-        return FoldPlan(fold_index=0, matched_pairs=(), left_class=LABEL_ODD1)
-    odd1 = list(relabeled.odd_one_positions)
-    even1 = list(relabeled.even_one_positions)
+        return FoldPlan(fold_index=0, matched_pairs=(), left_class=LABEL_ODD1, branch=branch)
+    odd1 = relabeled.odd_one_positions
+    even1 = relabeled.even_one_positions
 
-    best: tuple[int, int, int] | None = None  # (pairs, -|2f-L|, role pref)
-    best_plan: tuple[int, list[tuple[int, int]], str] | None = None
-    for f in range(1, length):
-        for left_nodes, right_nodes, left_class in (
-            (odd1, even1, LABEL_ODD1),
-            (even1, odd1, LABEL_EVEN1),
-        ):
-            n_left = sum(1 for p in left_nodes if p <= f)
-            n_right = sum(1 for p in right_nodes if p > f)
-            take = min(n_left, n_right)
-            pairs = _pairing(
-                [p for p in left_nodes if p <= f],
-                [p for p in right_nodes if p > f],
-                take,
-            )
-            key = (len(pairs), -abs(2 * f - length), 1 if left_class == LABEL_ODD1 else 0)
-            if best is None or key > best:
-                best = key
-                best_plan = (f, pairs, left_class)
+    best = None  # (key, fold edge, left nodes, right nodes, take, left class)
+    steps = 0
+    for left, right, left_class, pref in (
+        (odd1, even1, LABEL_ODD1, 1),
+        (even1, odd1, LABEL_EVEN1, 0),
+    ):
+        pairs, centre, f, take, role_steps = _sweep_role(left, right, length)
+        steps += role_steps
+        key = (pairs, centre, pref)
+        if best is None or key > best[0]:
+            best = (key, f, left, right, take, left_class)
 
-    fold_index, pairs, left_class = best_plan
+    if _stats is not None:
+        _stats["sweep_steps"] = steps
+    _, fold_index, left, right, take, left_class = best
     return FoldPlan(
         fold_index=fold_index,
-        matched_pairs=tuple(pairs),
+        matched_pairs=tuple(_pairing(left, right, take)),
         left_class=left_class,
+        branch=branch,
     )
+
+
+def plan_fold(chain: Chain) -> FoldPlan:
+    """The plan approx_fold builds: both relabel branches are swept and the
+    one with more pairs wins (the census-preferred branch on ties).
+
+    This costs nothing asymptotically and guarantees a bond whenever any
+    folding of the chain has one, which the single census-chosen branch
+    does not: its only pairing can be a chain-adjacent, unbondable pair.
+    """
+    preferred = relabel(chain)
+    other = _relabel_as(
+        chain,
+        BRANCH_EVENG_ODDC
+        if preferred.branch == BRANCH_ODDG_EVENC
+        else BRANCH_ODDG_EVENC,
+    )
+    plan = choose_fold_point(preferred)
+    alt = choose_fold_point(other)
+    if len(alt.matched_pairs) > len(plan.matched_pairs):
+        return alt
+    return plan
 
 
 def _loop_cells_top(col: int, count: int) -> list[tuple[int, int]]:
@@ -166,41 +223,24 @@ def _loop_cells_bottom(col: int, count: int) -> list[tuple[int, int]]:
     return cells
 
 
-def approx_fold(chain: Chain, *, _stats: dict | None = None) -> tuple[Folding, int]:
+def approx_fold(chain: Chain) -> tuple[Folding, int]:
     """Fold the chain with the fold-point construction.
 
     Returns the folding and the number of bonds it achieves (its exact
     score).  The score is at least the number of matched pairs, which is at
     least floor(min(#odd-1, #even-1) / 2).
-
-    Both relabel branches are swept and the plan with more pairs wins (the
-    census-preferred branch on ties).  This costs nothing asymptotically
-    and guarantees a bond whenever any folding of the chain has one, which
-    the single census-chosen branch does not: its only pairing can be a
-    chain-adjacent, unbondable pair.
     """
-    preferred = relabel(chain)
-    other = _relabel_as(
-        chain,
-        BRANCH_EVENG_ODDC
-        if preferred.branch == BRANCH_ODDG_EVENC
-        else BRANCH_ODDG_EVENC,
-    )
-    plan = choose_fold_point(preferred)
-    alt = choose_fold_point(other)
-    if len(alt.matched_pairs) > len(plan.matched_pairs):
-        plan = alt
-    length = len(chain)
-    ops = length  # node placements; the sweep adds O(length) more
+    return build_folding(chain, plan_fold(chain))
 
+
+def build_folding(chain: Chain, plan: FoldPlan) -> tuple[Folding, int]:
+    """Realize a plan: the folding and its exact score, which is at least
+    len(plan.matched_pairs)."""
+    length = len(chain)
     pairs = plan.matched_pairs
     if not pairs:
         folding = Folding(tuple((x, 0) for x in range(length)))
-        if _stats is not None:
-            _stats["ops"] = ops
-            _stats["pairs"] = 0
-        achieved = score(chain, folding)[0]
-        return folding, achieved
+        return folding, score(chain, folding)[0]
 
     k = len(pairs)
     cells: dict[int, tuple[int, int]] = {}
@@ -243,9 +283,6 @@ def approx_fold(chain: Chain, *, _stats: dict | None = None) -> tuple[Folding, i
     achieved = score(chain, folding)[0]
     if achieved < k:
         raise AssertionError("construction must realize every matched pair")
-    if _stats is not None:
-        _stats["ops"] = ops
-        _stats["pairs"] = k
     return folding, achieved
 
 

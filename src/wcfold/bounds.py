@@ -68,14 +68,13 @@ class ParityCensus:
 
 def parity_census(chain: Chain) -> ParityCensus:
     """Count bondable bases by index parity (X nodes are not counted)."""
-    counts = {k: 0 for k in ("odd_g", "even_g", "odd_c", "even_c",
-                             "odd_a", "even_a", "odd_u", "even_u")}
-    for i, base in enumerate(chain.seq, start=1):
-        if base == "X":
-            continue
-        parity = "odd" if i % 2 else "even"
-        counts[f"{parity}_{base.lower()}"] += 1
-    return ParityCensus(**counts)
+    odd, even = chain.seq[0::2], chain.seq[1::2]  # 1-based odd and even indices
+    return ParityCensus(
+        odd_g=odd.count("G"), even_g=even.count("G"),
+        odd_c=odd.count("C"), even_c=even.count("C"),
+        odd_a=odd.count("A"), even_a=even.count("A"),
+        odd_u=odd.count("U"), even_u=even.count("U"),
+    )
 
 
 def parity_bound(chain: Chain) -> int:

@@ -4,7 +4,8 @@ Subcommands: solve, bound, gen, approx, reduce, verify, render.  Results
 are emitted as a line-oriented key/value document (--format text, default)
 or JSON (--format structured); both are deterministic for fixed inputs and
 flags.  Wall-clock timing goes to stderr.  Exit codes: 0 success, 1 usage
-or parse error, 2 length-limit error, 3 verification failed.
+or parse error, 2 length-limit error, 3 verification failed, 4 file
+read/write error, 5 internal consistency check failed.
 """
 
 from __future__ import annotations
@@ -43,6 +44,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_LIMIT = 2
 EXIT_VERIFY = 3
+EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 class _Parser(argparse.ArgumentParser):
@@ -61,7 +64,11 @@ class _VerificationFailed(Exception):
 
 def _read_sequence(arg: str) -> Chain:
     path = Path(arg)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # an inline sequence longer than a file name may be
+        is_file = False
+    if is_file:
         return parse_chain(path.read_text())
     return parse_chain(arg)
 
@@ -238,17 +245,17 @@ def _cmd_gen(args) -> ResultDocument:
 
 def _cmd_approx(args) -> ResultDocument:
     chain = _read_sequence(args.sequence)
-    relabeled = approx_mod.relabel(chain)
-    plan = approx_mod.choose_fold_point(relabeled)
-    folding, achieved = approx_mod.approx_fold(chain)
+    plan = approx_mod.plan_fold(chain)
+    folding, achieved = approx_mod.build_folding(chain, plan)
     doc = ResultDocument(command="approx")
     doc.inputs["sequence"] = chain.seq
     doc.inputs["digest"] = sequence_digest(chain.seq)
     doc.outputs["achieved"] = achieved
-    doc.outputs["branch"] = relabeled.branch
+    doc.outputs["branch"] = plan.branch
     doc.outputs["fold_index"] = plan.fold_index
     doc.outputs["matched_pairs"] = len(plan.matched_pairs)
-    doc.outputs["pair_floor_guarantee"] = approx_mod.pair_floor_guarantee(relabeled)
+    doc.outputs["pair_floor_guarantee"] = approx_mod.pair_floor_guarantee(
+        approx_mod.relabel(chain))
     doc.outputs["bound_parity"] = bounds.parity_bound(chain)
     doc.outputs["folding_moves"] = points_to_moves(folding.points)
     if args.exact:
@@ -350,6 +357,17 @@ _HANDLERS = {
 
 
 def main(argv=None) -> int:
+    try:
+        return _run(argv)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

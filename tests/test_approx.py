@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,11 +9,16 @@ from wcfold.approx import (
     LABEL_EVEN1,
     LABEL_ODD1,
     LABEL_ZERO,
+    BRANCH_EVENG_ODDC,
     BRANCH_ODDG_EVENC,
+    FoldPlan,
     ScopeError,
+    _relabel_as,
     approx_fold,
+    build_folding,
     choose_fold_point,
     pair_floor_guarantee,
+    plan_fold,
     relabel,
 )
 from wcfold.bounds import parity_bound
@@ -56,6 +62,68 @@ def test_fold_point_block_chain():
     plan = choose_fold_point(relabel(parse_chain("GGGGCCCC")))
     assert plan.fold_index == 4
     assert plan.matched_pairs == ((1, 8), (3, 6))
+    assert plan.branch == BRANCH_ODDG_EVENC
+
+
+def _reference_fold_point(relabeled):
+    """The direct quadratic sweep: rebuild both side lists for every fold
+    edge and role, pair them outside-in, drop a chain-adjacent innermost
+    pair, and keep the first plan with the largest (pairs, -|2f-L|,
+    odd-1-left) key."""
+    length = len(relabeled.chain)
+    if length < 2:
+        return FoldPlan(0, (), LABEL_ODD1, relabeled.branch)
+    odd1 = relabeled.odd_one_positions
+    even1 = relabeled.even_one_positions
+    best = best_plan = None
+    for f in range(1, length):
+        for left_nodes, right_nodes, left_class in (
+            (odd1, even1, LABEL_ODD1),
+            (even1, odd1, LABEL_EVEN1),
+        ):
+            left = [p for p in left_nodes if p <= f]
+            right = [p for p in right_nodes if p > f]
+            take = min(len(left), len(right))
+            pairs = [(left[t], right[len(right) - 1 - t]) for t in range(take)]
+            if pairs and pairs[-1][1] == pairs[-1][0] + 1:
+                pairs.pop()
+            key = (len(pairs), -abs(2 * f - length), left_class == LABEL_ODD1)
+            if best is None or key > best:
+                best = key
+                best_plan = FoldPlan(f, tuple(pairs), left_class, relabeled.branch)
+    return best_plan
+
+
+def _assert_sweep_matches_reference(seq):
+    for branch in (BRANCH_ODDG_EVENC, BRANCH_EVENG_ODDC):
+        relabeled = _relabel_as(Chain(seq), branch)
+        assert choose_fold_point(relabeled) == _reference_fold_point(relabeled), (seq, branch)
+
+
+def test_fold_point_matches_quadratic_sweep_exhaustive():
+    for length in range(1, 13):
+        for combo in itertools.product("GC", repeat=length):
+            _assert_sweep_matches_reference("".join(combo))
+
+
+@given(st.text(alphabet="GC", min_size=13, max_size=200))
+@settings(max_examples=100, deadline=None)
+def test_fold_point_matches_quadratic_sweep_random(seq):
+    _assert_sweep_matches_reference(seq)
+
+
+def test_plan_fold_is_what_approx_fold_builds():
+    for seq in ["CCGG", "GGGGCCCC", "GCGCGCGCGC", "CCCGGG"]:
+        chain = Chain(seq)
+        plan = plan_fold(chain)
+        built, achieved = build_folding(chain, plan)
+        assert (built, achieved) == approx_fold(chain)
+        assert achieved >= len(plan.matched_pairs)
+    # CCGG: the census prefers oddG/evenC, whose only pair is chain-adjacent
+    plan = plan_fold(Chain("CCGG"))
+    assert relabel(Chain("CCGG")).branch == BRANCH_ODDG_EVENC
+    assert plan.branch == BRANCH_EVENG_ODDC
+    assert plan.matched_pairs == ((1, 4),)
 
 
 def test_fold_point_no_ones():
@@ -118,14 +186,28 @@ def test_approx_valid_on_random_chains(seq):
     assert achieved >= pair_floor_guarantee(relabel(chain))
 
 
+def _sweep_steps(seq):
+    stats = {}
+    choose_fold_point(relabel(Chain(seq)), _stats=stats)
+    return stats["sweep_steps"]
+
+
 def test_approx_linear_operation_growth():
-    ops = []
-    for length in (64, 128, 256, 512):
-        stats = {}
-        approx_fold(Chain("GC" * (length // 2)), _stats=stats)
-        ops.append(stats["ops"])
-    for prev, cur in zip(ops, ops[1:]):
-        assert cur <= 2.5 * prev  # doubling the chain at most ~doubles the work
+    """The fold-point sweep counts the fold edges it visits and the pointer
+    advances it makes: fewer than 4L in all, and doubling the chain (by
+    repeating it, which doubles every class count) at most doubles them,
+    plus a constant."""
+    rng = random.Random(2)
+    seeds = ["GC" * 32, "G" * 32 + "C" * 32, "GGCC" * 16, "G" * 64,
+             "".join(rng.choice("GC") for _ in range(64))]
+    for seq in seeds:
+        steps = []
+        for _ in range(7):  # 64 .. 4096 bases
+            steps.append(_sweep_steps(seq))
+            assert steps[-1] < 4 * len(seq), seq[:8]
+            seq += seq
+        for prev, cur in zip(steps, steps[1:]):
+            assert cur <= 2 * prev + 4
 
 
 def test_approx_scope_error():

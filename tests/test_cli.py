@@ -1,10 +1,15 @@
+import itertools
 import json
 import subprocess
 import sys
 
 import pytest
 
+from wcfold import approx
+from wcfold.approx import BRANCH_EVENG_ODDC, build_folding, plan_fold, relabel
 from wcfold.cli import main
+from wcfold.model import Chain
+from wcfold.walks import points_to_moves
 from wcfold.docio import ResultDocument
 from wcfold.reduction import bundled_layout_text
 
@@ -96,6 +101,70 @@ def test_approx(capsys, tmp_path):
     assert code == 0
     assert "output.achieved: 3" in out
     assert path.exists()
+
+
+def _approx_outputs(capsys, seq):
+    code, out, _ = run_cli(capsys, "approx", seq)
+    assert code == 0
+    prefix = "output."
+    return {
+        key[len(prefix):]: value
+        for key, _, value in (line.partition(": ") for line in out.splitlines())
+        if key.startswith(prefix)
+    }
+
+
+def test_approx_reports_the_plan_it_built(capsys):
+    # On these chains the census-preferred branch only offers a
+    # chain-adjacent pair, so the plan that is built uses the other branch.
+    outputs = _approx_outputs(capsys, "CCGG")
+    assert outputs["branch"] == BRANCH_EVENG_ODDC
+    assert outputs["matched_pairs"] == "1"
+    assert outputs["achieved"] == "1"
+    seqs = ["".join(c) for n in range(2, 11) for c in itertools.product("GC", repeat=n)]
+    other_branch = [s for s in seqs if plan_fold(Chain(s)).branch != relabel(Chain(s)).branch]
+    assert "CCGG" in other_branch and "GGCC" not in other_branch
+    for seq in other_branch + ["GGGGCCCC", "GCGCGCGCGC"]:
+        chain = Chain(seq)
+        outputs = _approx_outputs(capsys, seq)
+        plan = plan_fold(chain)
+        folding, achieved = build_folding(chain, plan)
+        assert int(outputs["matched_pairs"]) <= int(outputs["achieved"]), seq
+        assert (outputs["branch"], int(outputs["fold_index"]), int(outputs["matched_pairs"])) \
+            == (plan.branch, plan.fold_index, len(plan.matched_pairs)), seq
+        assert outputs["folding_moves"] == points_to_moves(folding.points), seq
+        assert int(outputs["achieved"]) == achieved, seq
+
+
+def test_long_inline_sequence(capsys):
+    # longer than a file name may be, so it must not be looked up as a path
+    code, out, _ = run_cli(capsys, "approx", "GC" * 200)
+    assert code == 0
+    assert "output.matched_pairs: 100" in out
+
+
+def test_unwritable_out_exit_code(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "bound", "GGCC", "--out", str(tmp_path / "missing" / "x"))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_unwritable_folding_out_exit_code(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "approx", "GGGGCCCC", "--folding-out", str(tmp_path / "missing" / "a.fold")
+    )
+    assert code == 4
+    assert err.startswith("error: ")
+
+
+def test_internal_check_exit_code(capsys, monkeypatch):
+    # a scorer that finds no bonds trips the construction's own assertion
+    monkeypatch.setattr(approx, "score", lambda chain, folding: (0, None))
+    code, out, err = run_cli(capsys, "approx", "GGGGCCCC")
+    assert code == 5
+    assert out == ""
+    assert err.startswith("error: internal check failed: construction must realize")
 
 
 def test_render_ascii(capsys, tmp_path):

@@ -32,7 +32,7 @@ from .solver import (
     is_unique_optimal,
     optimal_score,
 )
-from .walks import canonical_moves, enumerate_foldings, moves_to_points, points_to_moves
+from .walks import canonical_moves, moves_to_points, points_to_moves
 
 __all__ = [
     "BondSet",
@@ -50,7 +50,6 @@ __all__ = [
     "canonical_moves",
     "complementary",
     "contact_graph",
-    "enumerate_foldings",
     "exact_solve",
     "gc_block_chain",
     "hairpin_folding",

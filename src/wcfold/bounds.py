@@ -53,18 +53,6 @@ class ParityCensus:
     def has_au(self) -> bool:
         return bool(self.odd_a or self.even_a or self.odd_u or self.even_u)
 
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "odd_g": self.odd_g,
-            "even_g": self.even_g,
-            "odd_c": self.odd_c,
-            "even_c": self.even_c,
-            "odd_a": self.odd_a,
-            "even_a": self.even_a,
-            "odd_u": self.odd_u,
-            "even_u": self.even_u,
-        }
-
 
 def parity_census(chain: Chain) -> ParityCensus:
     """Count bondable bases by index parity (X nodes are not counted)."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 from . import approx as approx_mod
@@ -23,15 +24,8 @@ from .docio import (
     sequence_digest,
     write_folding_file,
 )
-from .model import (
-    Chain,
-    ChainParseError,
-    FoldingValidationError,
-    parse_chain,
-    score,
-    validate_folding,
-)
-from .render import RenderSpec, render
+from .model import Chain, parse_chain, score, validate_folding
+from .render import render
 from .solver import (
     DEFAULT_MAX_LENGTH,
     DEFAULT_REPRESENTATIVE_CAP,
@@ -172,8 +166,7 @@ def _cmd_solve(args) -> ResultDocument:
     report = exact_solve(
         chain,
         max_length=args.max_length,
-        representative_cap=args.representatives,
-        all_optima=args.all_optima,
+        representative_cap=None if args.all_optima else args.representatives,
         workers=args.workers,
         prune=not args.no_prune,
     )
@@ -209,7 +202,7 @@ def _cmd_bound(args) -> ResultDocument:
         if bounds.bbox_bound_is_extension(len(chain)):
             doc.outputs["bbox_note"] = "odd length uses the floor extension"
     if not only_bbox:
-        for key, value in census.as_dict().items():
+        for key, value in asdict(census).items():
             doc.outputs[f"census_{key}"] = value
         if census.has_au:
             doc.outputs["parity_note"] = "includes the A/U extension terms"
@@ -279,9 +272,9 @@ def _cmd_reduce(args) -> ResultDocument:
     doc.outputs["bondable"] = instance.bondable
     doc.outputs["tail_length"] = instance.tail_length
     doc.outputs["digest"] = sequence_digest(instance.chain.seq)
-    assignments = [_parse_assignment(a) for a in args.assign]
-    if not assignments:
-        assignments = [instance.build_assignment]
+    assignments = [_parse_assignment(a) for a in args.assign] or [instance.build_assignment]
+    # Trace every assignment first: a bad one fails before any file is written.
+    foldings = {_assignment_tag(a): instance.intended_folding(a) for a in assignments}
     if args.out_prefix:
         prefix = Path(args.out_prefix)
         seq_path = prefix.with_suffix(".seq")
@@ -290,9 +283,7 @@ def _cmd_reduce(args) -> ResultDocument:
         meta_path = prefix.with_suffix(".meta")
         meta_path.write_text(doc.to_text())
         doc.outputs["metadata_file"] = str(meta_path)
-        for assignment in assignments:
-            folding = instance.intended_folding(assignment)
-            tag = _assignment_tag(assignment)
+        for tag, folding in foldings.items():
             fold_path = Path(f"{args.out_prefix}.{tag}.fold")
             write_folding_file(fold_path, folding, comment=f"assignment {tag}")
             doc.outputs[f"folding_file_{tag}"] = str(fold_path)
@@ -330,7 +321,7 @@ def _cmd_render(args) -> ResultDocument:
     points = read_folding_points(args.folding)
     folding = validate_folding(chain, points)
     size, witness = score(chain, folding)
-    art = render(chain, folding, RenderSpec(fmt=args.render), witness)
+    art = render(chain, folding, args.render, witness)
     doc = ResultDocument(command="render")
     doc.inputs["sequence"] = chain.seq
     doc.outputs["bonds"] = size
@@ -380,10 +371,10 @@ def _run(argv) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ChainParseError, FoldingValidationError, reduction.LayoutError, ValueError) as exc:
-        if isinstance(exc, LengthLimitError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_LIMIT
+    except LengthLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except ValueError as exc:  # parse, validation and layout errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _VerificationFailed as exc:

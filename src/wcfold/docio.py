@@ -1,9 +1,9 @@
 """File formats and structured result documents.
 
 Folding files hold one "x y" integer pair per line in chain-index order;
-blank lines and '#' comments are ignored.  Move strings over {R, L, U, D}
-are the compact single-line alternative, with the first node implicit at
-the origin.
+blank lines and '#' comments are ignored.  A move string over {R, L, U, D}
+on a line of its own is the compact alternative, with the first node
+implicit at the origin; a file holds one format, never both.
 
 A ResultDocument is the CLI's output unit: command echo, input digest,
 outputs, and diagnostics, emitted either as line-oriented "key: value" text
@@ -34,19 +34,18 @@ def write_folding_file(path, folding: Folding, comment: str | None = None) -> No
 
 
 def read_folding_points(path) -> tuple[tuple[int, int], ...]:
-    """Read a folding file (or a single move-string line) into points."""
-    points: list[tuple[int, int]] = []
+    """Read a folding file into points: "x y" lines only, or one move-string
+    line alone.  Raises ValueError for anything else, mixtures included."""
     with open(path) as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) == 1 and not _is_int(parts[0]):
-                return moves_to_points(parts[0])
-            if len(parts) != 2 or not (_is_int(parts[0]) and _is_int(parts[1])):
-                raise ValueError(f"bad folding line: {raw.rstrip()!r}")
-            points.append((int(parts[0]), int(parts[1])))
+        lines = [(raw, raw.split("#", 1)[0].split()) for raw in fh]
+    lines = [(raw, parts) for raw, parts in lines if parts]
+    if len(lines) == 1 and len(lines[0][1]) == 1 and not _is_int(lines[0][1][0]):
+        return moves_to_points(lines[0][1][0])
+    points: list[tuple[int, int]] = []
+    for raw, parts in lines:
+        if len(parts) != 2 or not (_is_int(parts[0]) and _is_int(parts[1])):
+            raise ValueError(f"bad folding line: {raw.rstrip()!r}")
+        points.append((int(parts[0]), int(parts[1])))
     return tuple(points)
 
 
@@ -87,26 +86,6 @@ class ResultDocument:
                 lines.append(f"{section}.{key}: {_fmt(value)}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "ResultDocument":
-        doc = cls(command="")
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line:
-                continue
-            key, _, value = line.partition(": ")
-            if key == "command":
-                doc.command = value
-            elif key.startswith("input."):
-                doc.inputs[key[6:]] = value
-            elif key.startswith("output."):
-                doc.outputs[key[7:]] = value
-            elif key.startswith("diag."):
-                doc.diagnostics[key[5:]] = value
-            else:
-                raise ValueError(f"bad document line: {raw!r}")
-        return doc
-
     def to_json(self) -> str:
         obj = {
             "command": self.command,
@@ -115,16 +94,6 @@ class ResultDocument:
             "diag": self.diagnostics,
         }
         return json.dumps(obj, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultDocument":
-        obj = json.loads(text)
-        return cls(
-            command=obj["command"],
-            inputs=dict(obj.get("input", {})),
-            outputs=dict(obj.get("output", {})),
-            diagnostics=dict(obj.get("diag", {})),
-        )
 
     def render(self, fmt: str) -> str:
         if fmt == "text":

@@ -64,10 +64,6 @@ class Chain:
     def __str__(self) -> str:
         return self.seq
 
-    def base(self, i: int) -> str:
-        """Base at 1-based node index i."""
-        return self.seq[i - 1]
-
 
 def parse_chain(text: str) -> Chain:
     """Parse sequence text into a Chain.

@@ -3,12 +3,7 @@
 from importlib import resources
 
 from .assemble import ReductionInstance, assemble, verify_instance
-from .gadgets import (
-    flex_strands,
-    hairpinned_gadget_chain,
-    rigid_strands,
-    tail_fragment,
-)
+from .gadgets import flex_strands, hairpinned_gadget_chain, rigid_strands
 from .layout import LayoutError, SatLayout, Segment, Turn, load_layout, parse_layout
 from .verify import verify_straightness
 
@@ -25,7 +20,6 @@ __all__ = [
     "load_layout",
     "parse_layout",
     "rigid_strands",
-    "tail_fragment",
     "verify_instance",
     "verify_straightness",
 ]

@@ -41,8 +41,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from ..model import Chain, Folding, validate_folding, score
-from .gadgets import FLEX_PERIOD, RIGID_PERIOD, complement_base
+from ..bounds import hairpin_folding
+from ..model import COMPLEMENT, Chain, Folding, Point, validate_folding, score
+from .gadgets import FLEX_PERIOD, RIGID_PERIOD
 from .layout import LayoutError, SatLayout, Segment, Turn, _opposite
 
 _LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
@@ -83,10 +84,10 @@ class _Tracer:
 
     def _next_base(self, kind: str) -> str:
         if kind == "flex":
-            base = FLEX_PERIOD[self.stream % 4]
+            base = FLEX_PERIOD[self.stream % len(FLEX_PERIOD)]
             self.stream += 1
         else:
-            base = RIGID_PERIOD[self.rigid_stream % 8]
+            base = RIGID_PERIOD[self.rigid_stream % len(RIGID_PERIOD)]
             self.rigid_stream += 1
         return base
 
@@ -108,7 +109,7 @@ class _Tracer:
         ai = self._emit_a(self.pos, base, PATTERN)
         off = _LEFT[self.heading]
         bcell = (self.pos[0] + off[0], self.pos[1] + off[1])
-        bi = self._emit_b(bcell, complement_base(base) if self.build else None, PATTERN)
+        bi = self._emit_b(bcell, COMPLEMENT[base] if self.build else None, PATTERN)
         self.zips.append((ai, bi))
 
     # -- elements --------------------------------------------------------
@@ -170,11 +171,11 @@ class _Tracer:
             base_c = self._next_base("flex") if self.build else None
             base_p = self._next_base("flex") if self.build else None
             ai_c = self._emit_a(corner, base_c, PATTERN)
-            bi_1 = self._emit_b(p1, complement_base(base_c) if self.build else None, PATTERN)
+            bi_1 = self._emit_b(p1, COMPLEMENT[base_c] if self.build else None, PATTERN)
             self._emit_b(diag, None, FILLER)
             self._emit_b(flank, None, FILLER)
             ai_p = self._emit_a(post, base_p, PATTERN)
-            bi_4 = self._emit_b(p4, complement_base(base_p) if self.build else None, PATTERN)
+            bi_4 = self._emit_b(p4, COMPLEMENT[base_p] if self.build else None, PATTERN)
             self.zips.append((ai_c, bi_1))
             self.zips.append((ai_p, bi_4))
             return None
@@ -186,16 +187,16 @@ class _Tracer:
         base_c = self._next_base("flex") if self.build else None
         base_p = self._next_base("flex") if self.build else None
         ai_c = self._emit_a(corner, base_c, PATTERN)
-        bi_1 = self._emit_b(p1, complement_base(base_c) if self.build else None, PATTERN)
+        bi_1 = self._emit_b(p1, COMPLEMENT[base_c] if self.build else None, PATTERN)
         if self.build:
-            diag_base = complement_base(self.a[len(self.a) - 4].base)
-            flank_base = complement_base(self.a[len(self.a) - 3].base)
+            diag_base = COMPLEMENT[self.a[len(self.a) - 4].base]
+            flank_base = COMPLEMENT[self.a[len(self.a) - 3].base]
         else:
             diag_base = flank_base = None
         bi_d = self._emit_b(diag, diag_base, PATTERN)
         bi_f = self._emit_b(flank, flank_base, PATTERN)
         ai_p = self._emit_a(post, base_p, PATTERN)
-        bi_4 = self._emit_b(p4, complement_base(base_p) if self.build else None, PATTERN)
+        bi_4 = self._emit_b(p4, COMPLEMENT[base_p] if self.build else None, PATTERN)
         self.zips.append((ai_c, bi_1))
         self.zips.append((ai_p, bi_4))
         return [("b", bi_d), ("b", bi_f)]
@@ -230,26 +231,10 @@ class _Tracer:
         self._emit_b(b_tip, None, FILLER)
 
 
-def _tail_cells_before(start: tuple[int, int], length: int) -> list[tuple[int, int]]:
-    """A 2-column hairpin of `length` (even) cells ending one step west of
-    `start`, pointing north."""
-    x0, y0 = start
-    half = length // 2
-    cells = [(x0 - 2, y0 + i) for i in range(half)]
-    cells.append((x0 - 1, y0 + half - 1))
-    cells.extend((x0 - 1, y0 + i) for i in range(half - 2, -1, -1))
-    return cells
-
-
-def _tail_cells_after(anchor: tuple[int, int], length: int) -> list[tuple[int, int]]:
-    """A 2-column hairpin of `length` (even) cells starting one step north
-    of `anchor`, pointing north."""
-    x0, y0 = anchor
-    half = length // 2
-    cells = [(x0, y0 + 1 + i) for i in range(half)]
-    cells.append((x0 + 1, y0 + half))
-    cells.extend((x0 + 1, y0 + i) for i in range(half - 1, 0, -1))
-    return cells
+def _tail_cells(length: int, x: int, y: int) -> tuple[Point, ...]:
+    """An X tail: the 2 x (length/2) hairpin stood on end, running north up
+    column x from (x, y) and back down column x + 1."""
+    return tuple((x + dy, y + dx) for dx, dy in hairpin_folding(length // 2).points)
 
 
 @dataclass(frozen=True)
@@ -265,32 +250,44 @@ class ReductionInstance:
     slides: dict[str, int]
     unbound_by_turn: dict[str, tuple[int, ...]]  # molecule indices per turn
     zip_pairs: tuple[tuple[int, int], ...]       # molecule index pairs
-    _geometry: dict = field(default_factory=dict, repr=False)
+    outbound_length: int
+    returning_length: int
+    lead_tail_cells: tuple[Point, ...] = field(repr=False)  # before the outbound strand
+    end_tail_cells: tuple[Point, ...] = field(repr=False)   # after the returning strand
+    # Per-assignment foldings; tracing and validating one walks every tail cell.
+    _foldings: dict[tuple, Folding] = field(default_factory=dict, compare=False, repr=False)
 
     def intended_folding(self, assignment: dict[str, bool]) -> Folding:
-        """Trace the layout for an assignment and return the folding."""
+        """Trace the layout for an assignment and return the folding.
+
+        Raises LayoutError when the assignment leaves out a layout variable
+        or names one the layout does not declare.
+        """
         key = tuple(sorted(assignment.items()))
-        if key not in self._geometry:
+        if key not in self._foldings:
             missing = [v for v in self.layout.variables if v not in assignment]
             if missing:
                 raise LayoutError(f"assignment missing variables {missing}")
+            unknown = sorted(set(assignment) - set(self.layout.variables))
+            if unknown:
+                raise LayoutError(f"assignment names unknown variables {unknown}")
             directions = {v: bool(assignment[v]) for v in self.layout.variables}
             tracer = _Tracer(self.layout, directions, build=False, slides=dict(self.slides))
             tracer.run()
-            if len(tracer.a) != self._geometry["a_len"] or len(tracer.b) != self._geometry["b_len"]:
+            if len(tracer.a) != self.outbound_length or len(tracer.b) != self.returning_length:
                 raise LayoutError(
                     "assignment trace does not conserve strand lengths; "
                     "variable turn pairs are inconsistent"
                 )
-            cells = list(self._geometry["tail1"])
+            cells = list(self.lead_tail_cells)
             cells.extend(e.cell for e in tracer.a)
             cells.extend(e.cell for e in reversed(tracer.b))
-            cells.extend(self._geometry["tail2"])
+            cells.extend(self.end_tail_cells)
             try:
-                self._geometry[key] = validate_folding(self.chain, cells)
+                self._foldings[key] = validate_folding(self.chain, cells)
             except ValueError as exc:
                 raise LayoutError(f"route crosses itself: {exc}") from exc
-        return self._geometry[key]
+        return self._foldings[key]
 
     @property
     def build_assignment(self) -> dict[str, bool]:
@@ -300,13 +297,13 @@ class ReductionInstance:
     def outbound_range(self) -> tuple[int, int]:
         """1-based molecule index range (inclusive) of the outbound strand."""
         start = self.tail_length + 1
-        return start, start + self._geometry["a_len"] - 1
+        return start, start + self.outbound_length - 1
 
     @property
     def returning_range(self) -> tuple[int, int]:
         """1-based molecule index range (inclusive) of the returning strand."""
-        start = self.tail_length + self._geometry["a_len"] + 1
-        return start, start + self._geometry["b_len"] - 1
+        start = self.tail_length + self.outbound_length + 1
+        return start, start + self.returning_length - 1
 
 
 def _choose_filler_bases(tracer: _Tracer) -> None:
@@ -327,7 +324,7 @@ def _choose_filler_bases(tracer: _Tracer) -> None:
                 if other is not None and other.base is not None:
                     neighbour_bases.add(other.base)
             for base in palette:
-                if complement_base(base) not in neighbour_bases:
+                if COMPLEMENT[base] not in neighbour_bases:
                     emission.base = base
                     break
             else:
@@ -336,11 +333,12 @@ def _choose_filler_bases(tracer: _Tracer) -> None:
                 )
 
 
-def assemble(layout: SatLayout, check: bool = True) -> ReductionInstance:
+def assemble(layout: SatLayout) -> ReductionInstance:
     """Compile the layout into a ReductionInstance.
 
     Raises LayoutError for invalid layouts, including a route that crosses
-    itself for the building assignment.
+    itself for the building assignment, and AssertionError when the
+    building assignment's intended folding falls short of k.
     """
     directions = {v: True for v in layout.variables}
     tracer = _Tracer(layout, directions, build=True)
@@ -350,10 +348,7 @@ def assemble(layout: SatLayout, check: bool = True) -> ReductionInstance:
     n_nontail = len(tracer.a) + len(tracer.b)
     tail_required = math.ceil((n_nontail / 2) ** 2)
     tail_length = tail_required + tail_required % 2
-
-    tail1 = _tail_cells_before(tracer.a[0].cell, tail_length)
-    b_start = tracer.b[0].cell
-    tail2 = _tail_cells_after(b_start, tail_length)
+    (a_x, a_y), (b_x, b_y) = tracer.a[0].cell, tracer.b[0].cell
 
     seq = (
         "X" * tail_length
@@ -403,21 +398,20 @@ def assemble(layout: SatLayout, check: bool = True) -> ReductionInstance:
         slides=dict(tracer.slides),
         unbound_by_turn=unbound,
         zip_pairs=zip_pairs,
-        _geometry={
-            "a_len": len(tracer.a),
-            "b_len": len(tracer.b),
-            "tail1": tuple(tail1),
-            "tail2": tuple(tail2),
-        },
+        outbound_length=len(tracer.a),
+        returning_length=b_len,
+        # The tails end west of the route start and start north of the
+        # returning strand's last cell.
+        lead_tail_cells=_tail_cells(tail_length, a_x - 2, a_y),
+        end_tail_cells=_tail_cells(tail_length, b_x, b_y + 1),
     )
 
-    if check:
-        folding = instance.intended_folding(instance.build_assignment)
-        bonds = score(chain, folding)[0]
-        if bonds < k:
-            raise AssertionError(
-                f"intended folding scores {bonds}, below the target k = {k}"
-            )
+    folding = instance.intended_folding(instance.build_assignment)
+    bonds = score(chain, folding)[0]
+    if bonds < k:
+        raise AssertionError(
+            f"intended folding scores {bonds}, below the target k = {k}"
+        )
     return instance
 
 

@@ -11,12 +11,12 @@ ends.
 
 from __future__ import annotations
 
+from ..model import COMPLEMENT
+
 FLEX_PERIOD = "CCCA"
 RIGID_PERIOD = "CCCCCCCA"
-FLEX_COMPLEMENT = "GGGU"
-RIGID_COMPLEMENT = "GGGGGGGU"
-
-_COMPLEMENT = {"C": "G", "G": "C", "A": "U", "U": "A"}
+FLEX_COMPLEMENT = "".join(COMPLEMENT[b] for b in FLEX_PERIOD)    # GGGU
+RIGID_COMPLEMENT = "".join(COMPLEMENT[b] for b in RIGID_PERIOD)  # GGGGGGGU
 
 
 def flex_strands(periods: int) -> tuple[str, str]:
@@ -31,17 +31,6 @@ def rigid_strands(periods: int) -> tuple[str, str]:
     if periods < 1:
         raise ValueError("periods must be at least 1")
     return RIGID_PERIOD * periods, RIGID_COMPLEMENT * periods
-
-
-def tail_fragment(length: int) -> str:
-    """A run of non-bonding X bases for the endpoint tails."""
-    if length < 1:
-        raise ValueError("length must be at least 1")
-    return "X" * length
-
-
-def complement_base(base: str) -> str:
-    return _COMPLEMENT[base]
 
 
 def hairpinned_gadget_chain(kind: str, periods: int) -> str:

@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .gadgets import FLEX_PERIOD, RIGID_PERIOD
+
 
 class LayoutError(ValueError):
     """Raised for unparsable or invalid layout descriptions."""
@@ -46,7 +48,7 @@ class Segment:
 
     @property
     def cells(self) -> int:
-        return self.periods * (4 if self.kind == "flex" else 8)
+        return self.periods * len(FLEX_PERIOD if self.kind == "flex" else RIGID_PERIOD)
 
 
 @dataclass(frozen=True)

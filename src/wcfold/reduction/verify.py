@@ -8,6 +8,7 @@ where exhaustive search is feasible.
 
 from __future__ import annotations
 
+from ..bounds import hairpin_folding
 from ..model import Chain
 from ..solver import exact_solve
 from ..walks import canonical_moves
@@ -16,27 +17,18 @@ from .gadgets import hairpinned_gadget_chain
 STRAIGHTNESS_LIMIT = 24
 
 
-def straight_hairpin_points(length: int) -> tuple[tuple[int, int], ...]:
-    """The straight antiparallel embedding of a hairpinned double strand."""
-    half = length // 2
-    bottom = [(x, 0) for x in range(half)]
-    top = [(x, 1) for x in range(half - 1, -1, -1)]
-    return tuple(bottom + top)
-
-
-def verify_straightness(kind: str, periods: int, *, limit: int = STRAIGHTNESS_LIMIT,
-                        workers: int = 1) -> bool:
-    """True iff the straight embedding is the unique optimal folding of the
-    hairpinned gadget chain, established by exhaustive search."""
+def verify_straightness(kind: str, periods: int, *, workers: int = 1) -> bool:
+    """True iff the straight embedding (the 2 x n hairpin) is the unique
+    optimal folding of the hairpinned gadget chain, established by
+    exhaustive search."""
     seq = hairpinned_gadget_chain(kind, periods)
-    if len(seq) > limit:
+    if len(seq) > STRAIGHTNESS_LIMIT:
         raise ValueError(
             f"{kind} x {periods} gives a {len(seq)}-base chain, beyond the "
-            f"exhaustive-search limit {limit}"
+            f"exhaustive-search limit {STRAIGHTNESS_LIMIT}"
         )
-    chain = Chain(seq)
-    report = exact_solve(chain, max_length=limit, force=True, workers=workers)
+    report = exact_solve(Chain(seq), max_length=STRAIGHTNESS_LIMIT, workers=workers)
     if report.optimal_count != 1:
         return False
-    rep = report.representatives[0]
-    return canonical_moves(rep.points) == canonical_moves(straight_hairpin_points(len(seq)))
+    straight = hairpin_folding(len(seq) // 2)
+    return canonical_moves(report.representatives[0].points) == canonical_moves(straight.points)

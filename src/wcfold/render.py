@@ -10,30 +10,25 @@ dotted links ('··' horizontal, ':' vertical) against solid chain links
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
 from .model import BondSet, Chain, Folding, score
 
 ASCII_GLYPHS = {"G": "G", "C": "C", "A": "A", "U": "U", "X": "x"}
+_SVG_CELL = 40    # pixels per lattice unit
+_SVG_RADIUS = 11  # glyph radius in pixels
 
 
-@dataclass(frozen=True)
-class RenderSpec:
-    fmt: str = "ascii"  # ascii | svg
-    cell: int = 40      # svg pixels per lattice unit
-    radius: int = 11
-
-
-def render(chain: Chain, folding: Folding, spec: RenderSpec = RenderSpec(),
+def render(chain: Chain, folding: Folding, fmt: str = "ascii",
            bonds: BondSet | None = None) -> str:
+    """Draw the folding as "ascii" or "svg"; bonds default to a maximum matching."""
     if bonds is None:
         bonds = score(chain, folding)[1]
-    if spec.fmt == "ascii":
+    if fmt == "ascii":
         return render_ascii(chain, folding, bonds)
-    if spec.fmt == "svg":
-        return render_svg(chain, folding, bonds, spec)
-    raise ValueError(f"unknown render format {spec.fmt!r}")
+    if fmt == "svg":
+        return render_svg(chain, folding, bonds)
+    raise ValueError(f"unknown render format {fmt!r}")
 
 
 def render_ascii(chain: Chain, folding: Folding, bonds: BondSet) -> str:
@@ -104,10 +99,9 @@ _LEGEND = (
 )
 
 
-def render_svg(chain: Chain, folding: Folding, bonds: BondSet,
-               spec: RenderSpec = RenderSpec(fmt="svg")) -> str:
+def render_svg(chain: Chain, folding: Folding, bonds: BondSet) -> str:
     pts = folding.points
-    cell, r = spec.cell, spec.radius
+    cell, r = _SVG_CELL, _SVG_RADIUS
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     min_x, max_y = min(xs), max(ys)

@@ -29,7 +29,8 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 
-from .model import BondSet, Chain, Folding, score, validate_folding
+from .bounds import hairpin_folding
+from .model import Chain, Folding, complementary, score, validate_folding
 from .walks import enumerate_walk_points
 
 DEFAULT_MAX_LENGTH = 20
@@ -39,15 +40,11 @@ DEFAULT_REPRESENTATIVE_CAP = 16
 _PARTITION_THRESHOLD = 12
 _PREFIX_NODES = 6
 
-_CODE = {"G": 0, "C": 1, "A": 2, "U": 3, "X": 4}
-# Complementarity on base codes: G-C and A-U.
-_COMP = (
-    (False, True, False, False, False),
-    (True, False, False, False, False),
-    (False, False, False, True, False),
-    (False, False, True, False, False),
-    (False, False, False, False, False),
-)
+# Base codes: the bound's class layout relies on this order, and X is last.
+_BASES = "GCAUX"
+_CODE = {b: c for c, b in enumerate(_BASES)}
+# Complementarity on base codes, indexed _COMP[code][code] in the hot loop.
+_COMP = tuple(tuple(complementary(a, b) for b in _BASES) for a in _BASES)
 
 
 class LengthLimitError(ValueError):
@@ -56,7 +53,7 @@ class LengthLimitError(ValueError):
     def __init__(self, length: int, limit: int):
         super().__init__(
             f"chain length {length} exceeds the exact-search limit {limit}; "
-            "pass force=True (CLI: --max-length) to override"
+            "raise max_length (CLI: --max-length) to search it"
         )
         self.length = length
         self.limit = limit
@@ -68,8 +65,8 @@ class SolveReport:
 
     optimal_count counts optimal foldings modulo the 8 lattice symmetries
     (None when the search ran in score-only mode).  representatives holds
-    the first optimal foldings in deterministic search order, capped unless
-    all_optima was requested.
+    the first optimal foldings in deterministic search order, at most
+    representative_cap of them (all of them when the cap is None).
     """
 
     optimal_score: int
@@ -84,11 +81,9 @@ def _seed_score(chain: Chain) -> int:
     length = len(chain)
     if length < 4:
         return 0
-    h = (length + 1) // 2
-    bottom = [(x, 0) for x in range(h)]
-    top = [(x, 1) for x in range(h - 1, h - 1 - (length - h), -1)]
-    folding = validate_folding(chain, bottom + top)
-    return score(chain, folding)[0]
+    # An odd chain drops the hairpin's last cell.
+    points = hairpin_folding((length + 1) // 2).points[:length]
+    return score(chain, validate_folding(chain, points))[0]
 
 
 def _solve_subtree(args) -> tuple[int, int, list[tuple], int, int]:
@@ -300,28 +295,27 @@ def exact_solve(
     chain: Chain,
     *,
     max_length: int = DEFAULT_MAX_LENGTH,
-    force: bool = False,
     representative_cap: int | None = DEFAULT_REPRESENTATIVE_CAP,
-    all_optima: bool = False,
     workers: int = 1,
     prune: bool = True,
     count: bool = True,
 ) -> SolveReport:
     """Exhaustive optimal-score search over all foldings of the chain.
 
-    Raises LengthLimitError beyond max_length unless force is given.  With
-    count=False the search returns only the optimal score (optimal_count is
-    None and ties are pruned more aggressively).
+    Raises LengthLimitError beyond max_length.  representative_cap=None
+    keeps every optimal folding.  With count=False the search returns only
+    the optimal score (optimal_count is None and ties are pruned more
+    aggressively).
     """
     length = len(chain)
-    if length > max_length and not force:
+    if length > max_length:
         raise LengthLimitError(length, max_length)
 
     seq = chain.seq
     seed = _seed_score(chain) if prune else 0
-    rep_cap = None if all_optima else representative_cap
     jobs, partition_nodes = _prefixes(length)
-    args = [(seq, cells, turned, prune, count, seed, rep_cap) for cells, turned in jobs]
+    args = [(seq, cells, turned, prune, count, seed, representative_cap)
+            for cells, turned in jobs]
 
     if workers > 1 and len(args) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -340,7 +334,7 @@ def exact_solve(
         if sub_best == best:
             total_count += sub_count
             for cells in sub_reps:
-                if rep_cap is None or len(rep_cells) < rep_cap:
+                if representative_cap is None or len(rep_cells) < representative_cap:
                     rep_cells.append(cells)
 
     width = 2 * length + 1

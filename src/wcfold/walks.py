@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .model import Folding, Point
+from .model import Point
 
 # Fixed direction order: east, north, west, south.  This pins the
 # deterministic depth-first emission order everywhere.
@@ -20,15 +20,9 @@ _MOVE_CHAR = {(1, 0): "R", (-1, 0): "L", (0, 1): "U", (0, -1): "D"}
 _CHAR_MOVE = {v: k for k, v in _MOVE_CHAR.items()}
 
 
-def enumerate_foldings(length: int) -> Iterator[Folding]:
-    """Yield every self-avoiding walk of `length` nodes once per symmetry
-    orbit, in deterministic depth-first order."""
-    for cells in enumerate_walk_points(length):
-        yield Folding(cells)
-
-
 def enumerate_walk_points(length: int) -> Iterator[tuple[Point, ...]]:
-    """Same as enumerate_foldings but yields raw point tuples (cheaper)."""
+    """Yield every self-avoiding walk of `length` nodes as a point tuple,
+    once per symmetry orbit, in deterministic depth-first order."""
     if length < 1:
         raise ValueError("length must be at least 1")
     if length == 1:

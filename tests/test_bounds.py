@@ -1,4 +1,5 @@
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,12 +41,12 @@ def test_parity_census_block():
 def test_parity_census_single():
     census = parity_census(parse_chain("G"))
     assert census.odd_g == 1
-    assert sum(census.as_dict().values()) == 1
+    assert sum(asdict(census).values()) == 1
 
 
 def test_parity_census_ignores_x():
     census = parity_census(parse_chain("XXXX"))
-    assert sum(census.as_dict().values()) == 0
+    assert sum(asdict(census).values()) == 0
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from wcfold.approx import BRANCH_EVENG_ODDC, build_folding, plan_fold, relabel
 from wcfold.cli import main
 from wcfold.model import Chain
 from wcfold.walks import points_to_moves
-from wcfold.docio import ResultDocument
 from wcfold.reduction import bundled_layout_text
 
 
@@ -45,7 +44,7 @@ def test_solve_structured_is_json(capsys):
 def test_solve_limit_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "G" * 21)
     assert code == 2
-    assert "limit" in err
+    assert "limit 20" in err and "--max-length" in err
 
 
 def test_parse_error_exit_code(capsys):
@@ -224,10 +223,116 @@ def test_sequence_from_file(capsys, tmp_path):
     assert "input.sequence: GGGGCCCC" in out
 
 
-def test_document_round_trips_from_cli(capsys):
-    _, out, _ = run_cli(capsys, "solve", "GGAAUUCC")
-    doc = ResultDocument.from_text(out)
-    assert doc.to_text() == out
+GOLDEN = {
+    ("solve", "GGAAUUCC"): """command: solve
+input.sequence: GGAAUUCC
+input.length: 8
+input.digest: d25ba5e78135
+output.optimal_score: 3
+output.optimal_count: 1
+output.unique: true
+output.bound_bbox: 3
+output.bound_parity: 4
+output.representatives: RRRULLL
+diag.nodes_explored: 73
+diag.pruned: 42
+""",
+    ("solve", "GGGCCC", "--all-optima"): """command: solve
+input.sequence: GGGCCC
+input.length: 6
+input.digest: 2ff806fc8570
+output.optimal_score: 2
+output.optimal_count: 2
+output.unique: false
+output.bound_bbox: 2
+output.bound_parity: 3
+output.representatives: RRULL RULUR
+diag.nodes_explored: 32
+diag.pruned: 17
+""",
+    ("bound", "GAUC"): """command: bound
+input.sequence: GAUC
+input.digest: 6d940df9bf7e
+output.parity: 2
+output.bbox: 1
+output.census_odd_g: 1
+output.census_even_g: 0
+output.census_odd_c: 0
+output.census_even_c: 1
+output.census_odd_a: 0
+output.census_even_a: 1
+output.census_odd_u: 1
+output.census_even_u: 0
+output.parity_note: includes the A/U extension terms
+""",
+    ("approx", "CCGG", "--exact"): """command: approx
+input.sequence: CCGG
+input.digest: 5582047ed071
+output.achieved: 1
+output.branch: evenG/oddC
+output.fold_index: 2
+output.matched_pairs: 1
+output.pair_floor_guarantee: 0
+output.bound_parity: 2
+output.folding_moves: RDL
+output.optimal: 1
+""",
+}
+
+
+# --all-optima lists every optimum whatever the representative cap
+GOLDEN[("solve", "GGGCCC", "--all-optima", "--representatives", "1")] = GOLDEN[
+    ("solve", "GGGCCC", "--all-optima")]
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_golden_document(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == GOLDEN[argv]
+
+
+def test_golden_verify_document(capsys, tmp_path):
+    layout = tmp_path / "single_clause.layout"
+    layout.write_text(bundled_layout_text("single_clause"))
+    code, out, _ = run_cli(capsys, "verify", str(layout), "--assign", "x=true")
+    assert code == 0
+    assert out == """command: verify
+input.layout: {layout}
+input.assignment: xT
+output.k: 105
+output.bonds: 105
+output.meets_k: true
+""".format(layout=layout)
+
+
+def test_verify_rejects_unknown_variable(capsys, tmp_path):
+    layout = tmp_path / "single_clause.layout"
+    layout.write_text(bundled_layout_text("single_clause"))
+    code, out, err = run_cli(capsys, "verify", str(layout), "--assign", "x=true,typo=false")
+    assert code == 1
+    assert out == ""
+    assert err == "error: assignment names unknown variables ['typo']\n"
+
+
+def test_reduce_rejects_unknown_variable(capsys, tmp_path):
+    layout = tmp_path / "single_clause.layout"
+    layout.write_text(bundled_layout_text("single_clause"))
+    code, out, err = run_cli(capsys, "reduce", str(layout), "--out-prefix", str(tmp_path / "inst"),
+                             "--assign", "x=true,typo=false")
+    assert code == 1
+    assert out == ""
+    assert err == "error: assignment names unknown variables ['typo']\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["single_clause.layout"]
+
+
+def test_render_rejects_mixed_folding_file(capsys, tmp_path):
+    fold = tmp_path / "mixed.fold"
+    fold.write_text("0 0\n1 0\nRU\n")
+    code, out, err = run_cli(capsys, "render", "GGC", str(fold))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: bad folding line")
 
 
 def test_structured_output_is_deterministic(capsys):

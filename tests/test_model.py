@@ -23,8 +23,6 @@ def test_parse_basic():
     chain = parse_chain("GGGGCCCC")
     assert chain.seq == "GGGGCCCC"
     assert len(chain) == 8
-    assert chain.base(1) == "G"
-    assert chain.base(8) == "C"
 
 
 def test_parse_case_folding():

@@ -9,7 +9,6 @@ from wcfold.reduction import (
     hairpinned_gadget_chain,
     parse_layout,
     rigid_strands,
-    tail_fragment,
     verify_instance,
     verify_straightness,
 )
@@ -28,12 +27,6 @@ def test_rigid_strands():
     assert len(a) == len(b) == 16
     with pytest.raises(ValueError):
         rigid_strands(0)
-
-
-def test_tail_fragment():
-    assert tail_fragment(4) == "XXXX"
-    with pytest.raises(ValueError):
-        tail_fragment(0)
 
 
 def test_hairpinned_gadget_chain():
@@ -160,6 +153,10 @@ class TestSingleClauseFixture:
     def test_missing_assignment(self, instance):
         with pytest.raises(LayoutError):
             instance.intended_folding({})
+
+    def test_unknown_assignment_variable(self, instance):
+        with pytest.raises(LayoutError, match="unknown variables \\['typo'\\]"):
+            instance.intended_folding({"x": True, "typo": False})
 
 
 def test_spacing_gate():

@@ -2,7 +2,7 @@ import xml.etree.ElementTree as ET
 
 from wcfold.bounds import gc_block_chain, hairpin_folding
 from wcfold.model import parse_chain, score, validate_folding
-from wcfold.render import RenderSpec, render, render_ascii, render_svg
+from wcfold.render import render, render_ascii, render_svg
 
 
 def test_ascii_hairpin():
@@ -52,7 +52,7 @@ def test_svg_well_formed_and_bond_count():
 def test_svg_has_glyph_legend():
     chain = parse_chain("GCAUX")
     folding = validate_folding(chain, [(0, 0), (1, 0), (2, 0), (3, 0), (4, 0)])
-    svg = render(chain, folding, RenderSpec(fmt="svg"))
+    svg = render(chain, folding, "svg")
     root = ET.fromstring(svg)
     legend = [el for el in root.iter() if el.get("class") == "legend"]
     assert legend

@@ -109,7 +109,7 @@ def test_representative_cap():
     capped = exact_solve(chain, representative_cap=2)
     assert len(capped.representatives) == 2
     assert capped.optimal_count == 5
-    full = exact_solve(chain, all_optima=True)
+    full = exact_solve(chain, representative_cap=None)
     assert len(full.representatives) == 5
     assert len({canonical_moves(r.points) for r in full.representatives}) == 5
 

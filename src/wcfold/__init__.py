@@ -29,7 +29,6 @@ from .solver import (
     LengthLimitError,
     SolveReport,
     exact_solve,
-    is_unique_optimal,
     optimal_score,
 )
 from .walks import canonical_moves, moves_to_points, points_to_moves
@@ -53,7 +52,6 @@ __all__ = [
     "exact_solve",
     "gc_block_chain",
     "hairpin_folding",
-    "is_unique_optimal",
     "mixed_block_chain",
     "moves_to_points",
     "optimal_score",

@@ -211,18 +211,6 @@ def _loop_cells_top(col: int, count: int) -> list[tuple[int, int]]:
     return cells
 
 
-def _loop_cells_bottom(col: int, count: int) -> list[tuple[int, int]]:
-    """Mirror of _loop_cells_top: from column col to col-2 on the bottom
-    row, looping downward inside columns col and col-1."""
-    if count == 1:
-        return [(col - 1, 0)]
-    h = (count - 1) // 2
-    cells = [(col, -k) for k in range(1, h + 1)]
-    cells.append((col - 1, -h))
-    cells.extend((col - 1, y) for y in range(-h + 1, 1))
-    return cells
-
-
 def approx_fold(chain: Chain) -> tuple[Folding, int]:
     """Fold the chain with the fold-point construction.
 
@@ -273,8 +261,10 @@ def build_folding(chain: Chain, plan: FoldPlan) -> tuple[Folding, int]:
         cells[b] = (2 * t, 0)
         if t > 0:
             gap = pairs[t - 1][1] - b - 1
-            for node, cell in zip(range(b + 1, pairs[t - 1][1]), _loop_cells_bottom(2 * t, gap)):
-                cells[node] = cell
+            # The top loop turned half a turn about (2t, 1/2): from column 2t
+            # to 2t-2 on the bottom row, looping downward.
+            for node, (x, y) in zip(range(b + 1, pairs[t - 1][1]), _loop_cells_top(2 * t, gap)):
+                cells[node] = (4 * t - x, 1 - y)
     b_first = pairs[0][1]
     for node in range(b_first + 1, length + 1):
         cells[node] = (b_first - node, 0)

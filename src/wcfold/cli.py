@@ -153,6 +153,8 @@ def _parse_assignment(text: str) -> dict[str, bool]:
         name, _, value = part.partition("=")
         if value.lower() not in ("true", "false", "1", "0"):
             raise _UsageError(f"bad assignment {part!r}; use var=true or var=false")
+        if name in assignment:
+            raise _UsageError(f"variable {name!r} assigned more than once in {text!r}")
         assignment[name] = value.lower() in ("true", "1")
     return assignment
 

@@ -27,9 +27,16 @@ turn's two realizations shift by +2 and -2, which land on the same phase
 of the 4-cycle flex pattern, so flex corridors re-zip under every
 assignment; the 8-cycle rigid pattern does not absorb the shift, which is
 what makes rigid clause couplings (and rigidity in general) work.  The
-assembler slides each variable turn forward 0..3 cells so that both bend
-directions strand exactly two bases (the route may turn at any of a few
-positions around the intended corner without changing the bookkeeping).
+assembler slides each variable turn forward by at most one cell so that
+both bend directions strand exactly two bases (the route may turn at
+either position around the intended corner without changing the
+bookkeeping).
+
+One trace routine builds the molecule and re-traces every assignment.
+Both bend directions of a variable turn draw two flex bases, and a slide
+depends only on the declared true direction, so the base streams, the
+slides and the outbound strand are the same under every assignment; only
+the cells move.
 
 Counting: with Z zip pairs and t variable turns, bondable = 2Z + 2t and
 the bond target is k = bondable / 2 - t = Z, achieved exactly by the
@@ -43,192 +50,120 @@ from dataclasses import dataclass, field
 
 from ..bounds import hairpin_folding
 from ..model import COMPLEMENT, Chain, Folding, Point, validate_folding, score
-from .gadgets import FLEX_PERIOD, RIGID_PERIOD
+from .gadgets import PERIODS
 from .layout import LayoutError, SatLayout, Segment, Turn, _opposite
 
 _LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
 _RIGHT = {v: k for k, v in _LEFT.items()}
 
-PATTERN = "pattern"
-FILLER = "filler"
+
+def _step(cell: Point, heading: Point) -> Point:
+    return cell[0] + heading[0], cell[1] + heading[1]
 
 
 @dataclass
 class _Emission:
-    cell: tuple[int, int]
-    base: str | None
-    tag: str
+    cell: Point
+    base: str | None  # None marks a spacer until _choose_filler_bases fills it
 
 
 class _Tracer:
-    """One pass over the route.  In build mode it also assigns bases, zip
-    pairs and bookkeeping; in geometry mode (re-tracing an assignment) it
-    only lays out cells and must reproduce the build's emission counts."""
+    """One pass over the route for one assignment: the cells and bases of
+    both strands, the zip pairs and the bases each variable turn strands."""
 
-    def __init__(self, layout: SatLayout, directions: dict[str, str],
-                 build: bool, slides: dict[str, int] | None = None):
+    def __init__(self, layout: SatLayout, directions: dict[str, bool]):
         self.layout = layout
         self.directions = directions
-        self.build = build
-        self.slides = {} if slides is None else slides
         self.pos = (0, 0)
         self.heading = (1, 0)
-        self.stream = 0           # flex pattern position (4-cycle)
-        self.rigid_stream = 0     # rigid pattern position (8-cycle)
+        self.drawn = dict.fromkeys(PERIODS, 0)  # bases drawn from each pattern
         self.a: list[_Emission] = []
         self.b: list[_Emission] = []
         self.zips: list[tuple[int, int]] = []
         self.unbound: dict[str, list[tuple[str, int]]] = {}
 
-    # -- base streams -------------------------------------------------
-
     def _next_base(self, kind: str) -> str:
-        if kind == "flex":
-            base = FLEX_PERIOD[self.stream % len(FLEX_PERIOD)]
-            self.stream += 1
-        else:
-            base = RIGID_PERIOD[self.rigid_stream % len(RIGID_PERIOD)]
-            self.rigid_stream += 1
+        period = PERIODS[kind]
+        base = period[self.drawn[kind] % len(period)]
+        self.drawn[kind] += 1
         return base
 
-    # -- emission helpers ----------------------------------------------
+    def _emit(self, strand: str, cell: Point, base: str | None = None) -> tuple[str, int]:
+        emissions = self.a if strand == "a" else self.b
+        emissions.append(_Emission(cell, base))
+        return strand, len(emissions) - 1
 
-    def _emit_a(self, cell, base, tag) -> int:
-        self.a.append(_Emission(cell, base, tag))
-        return len(self.a) - 1
-
-    def _emit_b(self, cell, base, tag) -> int:
-        self.b.append(_Emission(cell, base, tag))
-        return len(self.b) - 1
-
-    def _straight_cell(self, kind: str, advance: bool = True) -> None:
-        """One zipped corridor cell: route node plus its across partner."""
-        if advance:
-            self.pos = (self.pos[0] + self.heading[0], self.pos[1] + self.heading[1])
-        base = self._next_base(kind) if self.build else None
-        ai = self._emit_a(self.pos, base, PATTERN)
-        off = _LEFT[self.heading]
-        bcell = (self.pos[0] + off[0], self.pos[1] + off[1])
-        bi = self._emit_b(bcell, COMPLEMENT[base] if self.build else None, PATTERN)
+    def _zip(self, cell: Point, heading: Point, kind: str) -> None:
+        """A route cell and its partner one cell left of travel, zipped."""
+        base = self._next_base(kind)
+        _, ai = self._emit("a", cell, base)
+        _, bi = self._emit("b", _step(cell, _LEFT[heading]), COMPLEMENT[base])
         self.zips.append((ai, bi))
 
-    # -- elements --------------------------------------------------------
+    def _straight(self, kind: str) -> None:
+        self.pos = _step(self.pos, self.heading)
+        self._zip(self.pos, self.heading, kind)
 
     def run(self) -> None:
-        self._straight_cell("flex", advance=False)  # route origin
+        self._zip(self.pos, self.heading, "flex")  # route origin
         for elem in self.layout.elements:
             if isinstance(elem, Segment):
                 for _ in range(elem.cells):
-                    self._straight_cell(elem.kind)
+                    self._straight(elem.kind)
             else:
                 self._turn(elem)
-        self._tip()
+        # The molecule turnaround: one spacer on each strand, chain-joined.
+        a_tip = _step(self.pos, self.heading)
+        self._emit("a", a_tip)
+        self._emit("b", _step(a_tip, _LEFT[self.heading]))
 
     def _turn(self, turn: Turn) -> None:
-        if turn.kind == "fixed":
-            realized = turn.direction
-        else:
+        """Bend the corridor.  Either direction leaves two cells unpartnered:
+        on a variable turn they hold pattern bases (its cost), on a fixed
+        turn spacers."""
+        variable = turn.kind == "variable"
+        if variable:
             want = self.directions.get(turn.variable)
             if want is None:
                 raise LayoutError(f"assignment missing variable {turn.variable}")
             realized = turn.true_direction if want else _opposite(turn.true_direction)
             self._slide(turn)
+        else:
+            realized = turn.direction
         h = self.heading
         new_h = _LEFT[h] if realized == "left" else _RIGHT[h]
-        corner = (self.pos[0] + h[0], self.pos[1] + h[1])
-        post = (corner[0] + new_h[0], corner[1] + new_h[1])
-
-        if turn.kind == "fixed":
-            if realized == "left":
-                self._emit_a(corner, None, FILLER)
-                self._emit_a(post, None, FILLER)
-            else:
-                self._right_turn_b_cells(h, new_h, corner, post, filler=True)
+        corner = _step(self.pos, h)
+        post = _step(corner, new_h)
+        if realized == "left":
+            # The inner track pinches: the corner and the cell after it.
+            stranded = [self._emit("a", cell, self._next_base("flex") if variable else None)
+                        for cell in (corner, post)]
         else:
-            if realized == "left":
-                i1 = self._emit_a(corner, self._next_base("flex") if self.build else None, PATTERN)
-                i2 = self._emit_a(post, self._next_base("flex") if self.build else None, PATTERN)
-                if self.build:
-                    self.unbound[turn.ident] = [("a", i1), ("a", i2)]
-            else:
-                strand_idx = self._right_turn_b_cells(h, new_h, corner, post, filler=False)
-                if self.build:
-                    self.unbound[turn.ident] = strand_idx
-
+            # The outer track spends the corner diagonal and its flank.  On a
+            # variable turn their bases pair two cells back along the
+            # corridor in the mirrored (left) realization of the same
+            # molecule, which pins them.
+            self._zip(corner, h, "flex")
+            diag = _step(_step(corner, _LEFT[h]), h)
+            flank = _step(corner, h)
+            stranded = [self._emit("b", cell, COMPLEMENT[self.a[back].base] if variable else None)
+                        for cell, back in ((diag, -4), (flank, -3))]
+            self._zip(post, new_h, "flex")
+        if variable:
+            self.unbound[turn.ident] = stranded
         self.pos = post
         self.heading = new_h
 
-    def _right_turn_b_cells(self, h, new_h, corner, post, filler: bool):
-        """Emit the corner pair plus the outer track's two extra cells."""
-        off_old = _LEFT[h]
-        off_new = _LEFT[new_h]
-        p1 = (corner[0] + off_old[0], corner[1] + off_old[1])
-        diag = (p1[0] + h[0], p1[1] + h[1])
-        flank = (corner[0] + h[0], corner[1] + h[1])
-        p4 = (post[0] + off_new[0], post[1] + off_new[1])
-
-        if filler:
-            base_c = self._next_base("flex") if self.build else None
-            base_p = self._next_base("flex") if self.build else None
-            ai_c = self._emit_a(corner, base_c, PATTERN)
-            bi_1 = self._emit_b(p1, COMPLEMENT[base_c] if self.build else None, PATTERN)
-            self._emit_b(diag, None, FILLER)
-            self._emit_b(flank, None, FILLER)
-            ai_p = self._emit_a(post, base_p, PATTERN)
-            bi_4 = self._emit_b(p4, COMPLEMENT[base_p] if self.build else None, PATTERN)
-            self.zips.append((ai_c, bi_1))
-            self.zips.append((ai_p, bi_4))
-            return None
-
-        # Variable turn bent right: the two extra outer cells hold pattern
-        # bases that stay unbound here; in the mirrored (left) realization
-        # of the same molecule they pair two cells back along the corridor,
-        # which pins their bases.
-        base_c = self._next_base("flex") if self.build else None
-        base_p = self._next_base("flex") if self.build else None
-        ai_c = self._emit_a(corner, base_c, PATTERN)
-        bi_1 = self._emit_b(p1, COMPLEMENT[base_c] if self.build else None, PATTERN)
-        if self.build:
-            diag_base = COMPLEMENT[self.a[len(self.a) - 4].base]
-            flank_base = COMPLEMENT[self.a[len(self.a) - 3].base]
-        else:
-            diag_base = flank_base = None
-        bi_d = self._emit_b(diag, diag_base, PATTERN)
-        bi_f = self._emit_b(flank, flank_base, PATTERN)
-        ai_p = self._emit_a(post, base_p, PATTERN)
-        bi_4 = self._emit_b(p4, COMPLEMENT[base_p] if self.build else None, PATTERN)
-        self.zips.append((ai_c, bi_1))
-        self.zips.append((ai_p, bi_4))
-        return [("b", bi_d), ("b", bi_f)]
-
     def _slide(self, turn: Turn) -> None:
-        """Advance 0..3 cells so both bend directions cost exactly two bases.
+        """Advance so both bend directions strand exactly two bases.
 
         The corner's flex-stream phase must be even when the declared true
-        direction is left and odd when it is right; the corridor may turn at
-        any of the nearby positions, so sliding is free.
+        direction is left and odd when it is right.  One cell flips the
+        phase, so the slide is zero or one cell; the corridor may turn at
+        either position.
         """
-        if self.build:
-            want_odd = turn.true_direction == "right"
-            steps = 0
-            while (self.stream % 2 == 1) != want_odd:
-                self._straight_cell("flex")
-                steps += 1
-                if steps > 3:
-                    raise AssertionError("phase slide cannot need more than 3 cells")
-            self.slides[turn.ident] = steps
-        else:
-            for _ in range(self.slides.get(turn.ident, 0)):
-                self._straight_cell("flex")
-
-    def _tip(self) -> None:
-        """The molecule turnaround: one spacer on each strand, chain-joined."""
-        h = self.heading
-        a_tip = (self.pos[0] + h[0], self.pos[1] + h[1])
-        off = _LEFT[h]
-        b_tip = (a_tip[0] + off[0], a_tip[1] + off[1])
-        self._emit_a(a_tip, None, FILLER)
-        self._emit_b(b_tip, None, FILLER)
+        if (self.drawn["flex"] % 2 == 1) != (turn.true_direction == "right"):
+            self._straight("flex")
 
 
 def _tail_cells(length: int, x: int, y: int) -> tuple[Point, ...]:
@@ -247,7 +182,6 @@ class ReductionInstance:
     bondable: int
     tail_length: int
     layout: SatLayout
-    slides: dict[str, int]
     unbound_by_turn: dict[str, tuple[int, ...]]  # molecule indices per turn
     zip_pairs: tuple[tuple[int, int], ...]       # molecule index pairs
     outbound_length: int
@@ -272,7 +206,7 @@ class ReductionInstance:
             if unknown:
                 raise LayoutError(f"assignment names unknown variables {unknown}")
             directions = {v: bool(assignment[v]) for v in self.layout.variables}
-            tracer = _Tracer(self.layout, directions, build=False, slides=dict(self.slides))
+            tracer = _Tracer(self.layout, directions)
             tracer.run()
             if len(tracer.a) != self.outbound_length or len(tracer.b) != self.returning_length:
                 raise LayoutError(
@@ -309,20 +243,17 @@ class ReductionInstance:
 def _choose_filler_bases(tracer: _Tracer) -> None:
     """Give spacer cells bases from their strand's palette that cannot bond
     with any geometric neighbour, so they stay structural."""
-    occupied: dict[tuple[int, int], _Emission] = {}
-    for emission in tracer.a + tracer.b:
-        occupied[emission.cell] = emission
-    for strand, palette in (("a", ("C", "A")), ("b", ("G", "U"))):
-        emissions = tracer.a if strand == "a" else tracer.b
-        for idx, emission in enumerate(emissions):
-            if emission.tag != FILLER or emission.base is not None:
+    occupied = {emission.cell: emission for emission in tracer.a + tracer.b}
+    for emissions, palette in ((tracer.a, ("C", "A")), (tracer.b, ("G", "U"))):
+        for emission in emissions:
+            if emission.base is not None:
                 continue
             x, y = emission.cell
-            neighbour_bases = set()
-            for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)):
-                other = occupied.get(nb)
-                if other is not None and other.base is not None:
-                    neighbour_bases.add(other.base)
+            neighbour_bases = {
+                occupied[nb].base
+                for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+                if nb in occupied
+            }
             for base in palette:
                 if COMPLEMENT[base] not in neighbour_bases:
                     emission.base = base
@@ -341,8 +272,9 @@ def assemble(layout: SatLayout) -> ReductionInstance:
     building assignment's intended folding falls short of k.
     """
     directions = {v: True for v in layout.variables}
-    tracer = _Tracer(layout, directions, build=True)
+    tracer = _Tracer(layout, directions)
     tracer.run()
+    pattern_nodes = sum(e.base is not None for e in tracer.a + tracer.b)
     _choose_filler_bases(tracer)
 
     n_nontail = len(tracer.a) + len(tracer.b)
@@ -368,18 +300,12 @@ def assemble(layout: SatLayout) -> ReductionInstance:
     def b_mol(i: int) -> int:
         return a_off + len(tracer.a) + (b_len - i)
 
-    zip_pairs = tuple(
-        (a_mol(ai), b_mol(bi)) if a_mol(ai) < b_mol(bi) else (b_mol(bi), a_mol(ai))
-        for ai, bi in tracer.zips
-    )
+    zip_pairs = tuple((a_mol(ai), b_mol(bi)) for ai, bi in tracer.zips)
     unbound = {
         ident: tuple(sorted(a_mol(i) if strand == "a" else b_mol(i) for strand, i in nodes))
         for ident, nodes in tracer.unbound.items()
     }
 
-    pattern_nodes = sum(1 for e in tracer.a if e.tag == PATTERN) + sum(
-        1 for e in tracer.b if e.tag == PATTERN
-    )
     t = layout.turn_count
     if pattern_nodes != 2 * len(tracer.zips) + 2 * t:
         raise AssertionError(
@@ -395,7 +321,6 @@ def assemble(layout: SatLayout) -> ReductionInstance:
         bondable=pattern_nodes,
         tail_length=tail_length,
         layout=layout,
-        slides=dict(tracer.slides),
         unbound_by_turn=unbound,
         zip_pairs=zip_pairs,
         outbound_length=len(tracer.a),

@@ -13,24 +13,26 @@ from __future__ import annotations
 
 from ..model import COMPLEMENT
 
-FLEX_PERIOD = "CCCA"
-RIGID_PERIOD = "CCCCCCCA"
-FLEX_COMPLEMENT = "".join(COMPLEMENT[b] for b in FLEX_PERIOD)    # GGGU
-RIGID_COMPLEMENT = "".join(COMPLEMENT[b] for b in RIGID_PERIOD)  # GGGGGGGU
+# The outbound strand's period for each segment kind; the returning strand
+# carries its complement.
+PERIODS = {"flex": "CCCA", "rigid": "CCCCCCCA"}
+
+
+def _strands(kind: str, periods: int) -> tuple[str, str]:
+    if periods < 1:
+        raise ValueError("periods must be at least 1")
+    outbound = PERIODS[kind] * periods
+    return outbound, "".join(COMPLEMENT[b] for b in outbound)
 
 
 def flex_strands(periods: int) -> tuple[str, str]:
     """Bendable straight section: ("CCCA" * n, "GGGU" * n), laid antiparallel."""
-    if periods < 1:
-        raise ValueError("periods must be at least 1")
-    return FLEX_PERIOD * periods, FLEX_COMPLEMENT * periods
+    return _strands("flex", periods)
 
 
 def rigid_strands(periods: int) -> tuple[str, str]:
     """Rigid straight section: ("CCCCCCCA" * n, "GGGGGGGU" * n)."""
-    if periods < 1:
-        raise ValueError("periods must be at least 1")
-    return RIGID_PERIOD * periods, RIGID_COMPLEMENT * periods
+    return _strands("rigid", periods)
 
 
 def hairpinned_gadget_chain(kind: str, periods: int) -> str:
@@ -40,10 +42,7 @@ def hairpinned_gadget_chain(kind: str, periods: int) -> str:
     straight antiparallel embedding is the hairpin that pairs position i
     with position L + 1 - i.
     """
-    if kind == "flex":
-        a, b = flex_strands(periods)
-    elif kind == "rigid":
-        a, b = rigid_strands(periods)
-    else:
+    if kind not in PERIODS:
         raise ValueError(f"unknown gadget kind {kind!r}")
+    a, b = _strands(kind, periods)
     return a + b[::-1]

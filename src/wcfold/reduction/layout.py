@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .gadgets import FLEX_PERIOD, RIGID_PERIOD
+from .gadgets import PERIODS
 
 
 class LayoutError(ValueError):
@@ -48,7 +48,7 @@ class Segment:
 
     @property
     def cells(self) -> int:
-        return self.periods * len(FLEX_PERIOD if self.kind == "flex" else RIGID_PERIOD)
+        return self.periods * len(PERIODS[self.kind])
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def parse_layout(text: str) -> SatLayout:
                 clauses[parts[1]] = tuple(" ".join(parts[3:]).replace(",", " ").split())
             elif word == "segment":
                 kind = parts[1]
-                if kind not in ("flex", "rigid"):
+                if kind not in PERIODS:
                     raise LayoutError(f"unknown segment kind {kind!r}")
                 periods = int(parts[2])
                 clause = None

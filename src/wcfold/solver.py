@@ -270,25 +270,21 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple], int, int]:
 
 
 def _prefixes(length: int) -> tuple[list[tuple[tuple[int, ...], bool]], int]:
-    """Canonical prefixes (as grid cells) at the fixed partition depth.
+    """Canonical prefixes (as grid cells) at the partition depth.
 
-    Returns (jobs, placements_counted) where each job is (cells, turned).
+    Returns (jobs, prefix_nodes) where each job is (cells, turned) and
+    prefix_nodes counts the nodes of the prefix tree, one per placement the
+    prefixes make, so that nodes_explored counts every placement.
     """
+    depth = _PREFIX_NODES if length > _PARTITION_THRESHOLD else min(length, 2)
     width = 2 * length + 1
-    center = length * width + length
-    if length <= _PARTITION_THRESHOLD:
-        if length == 1:
-            return [((center,), False)], 1
-        return [((center, center + width), False)], 2
-
     jobs: list[tuple[tuple[int, ...], bool]] = []
-    placements = 0
-    for pts in enumerate_walk_points(_PREFIX_NODES):
+    nodes: set[tuple] = set()
+    for pts in enumerate_walk_points(depth):
         cells = tuple((length + x) * width + (length + y) for x, y in pts)
-        turned = any(y != 0 for _, y in pts)
-        jobs.append((cells, turned))
-        placements += 1  # one placement per emitted leaf; cheap bookkeeping
-    return jobs, placements
+        jobs.append((cells, any(y != 0 for _, y in pts)))
+        nodes.update(pts[:d] for d in range(1, depth + 1))
+    return jobs, len(nodes)
 
 
 def exact_solve(
@@ -356,8 +352,3 @@ def optimal_score(chain: Chain, **kwargs) -> int:
     kwargs.setdefault("count", False)
     kwargs.setdefault("representative_cap", 0)
     return exact_solve(chain, **kwargs).optimal_score
-
-
-def is_unique_optimal(chain: Chain, **kwargs) -> bool:
-    """True when exactly one folding (modulo symmetry) attains the optimum."""
-    return exact_solve(chain, **kwargs).optimal_count == 1

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import subprocess
@@ -304,6 +305,44 @@ output.k: 105
 output.bonds: 105
 output.meets_k: true
 """.format(layout=layout)
+    code, out, _ = run_cli(capsys, "verify", str(layout), "--assign", "x=false")
+    assert code == 3
+    assert out == """command: verify
+input.layout: {layout}
+input.assignment: xF
+output.k: 105
+output.bonds: 101
+output.meets_k: false
+""".format(layout=layout)
+
+
+def test_golden_reduce_files(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # relative paths, so the metadata file is fixed
+    (tmp_path / "single_clause.layout").write_text(bundled_layout_text("single_clause"))
+    code, out, _ = run_cli(capsys, "reduce", "single_clause.layout", "--out-prefix", "P",
+                           "--assign", "x=true", "--assign", "x=false")
+    assert code == 0
+    assert out == """command: reduce
+input.layout: single_clause.layout
+output.length: 23544
+output.k: 105
+output.t: 2
+output.bondable: 214
+output.tail_length: 11664
+output.digest: 243ab5e3cccf
+output.sequence_file: P.seq
+output.metadata_file: P.meta
+output.folding_file_xT: P.xT.fold
+output.folding_file_xF: P.xF.fold
+"""
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("P.seq", "P.meta", "P.xT.fold", "P.xF.fold")}
+    assert digests == {
+        "P.seq": "85e048fcedf378b1ff5565f8920440117df32b7fd090b219ef47c9d8e9ab68a7",
+        "P.meta": "c865a532f2e0f37615e623d119d037164fcec48c9d942a2af9542e261a2aa0e2",
+        "P.xT.fold": "eb9273231f8c4dc12d6ba7287901cae293ffccf8739848f8bfc6e089c6952c25",
+        "P.xF.fold": "3612c71bc6db166e8b29b65852df0b93bca7e307b654246f1829174b0e64f839",
+    }
 
 
 def test_verify_rejects_unknown_variable(capsys, tmp_path):
@@ -323,6 +362,26 @@ def test_reduce_rejects_unknown_variable(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == "error: assignment names unknown variables ['typo']\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["single_clause.layout"]
+
+
+def test_verify_rejects_repeated_variable(capsys, tmp_path):
+    layout = tmp_path / "single_clause.layout"
+    layout.write_text(bundled_layout_text("single_clause"))
+    code, out, err = run_cli(capsys, "verify", str(layout), "--assign", "x=false,x=true")
+    assert code == 1
+    assert out == ""
+    assert err == "error: variable 'x' assigned more than once in 'x=false,x=true'\n"
+
+
+def test_reduce_rejects_repeated_variable(capsys, tmp_path):
+    layout = tmp_path / "single_clause.layout"
+    layout.write_text(bundled_layout_text("single_clause"))
+    code, out, err = run_cli(capsys, "reduce", str(layout), "--out-prefix", str(tmp_path / "inst"),
+                             "--assign", "x=true", "--assign", "x=true x=false")
+    assert code == 1
+    assert out == ""
+    assert err == "error: variable 'x' assigned more than once in 'x=true x=false'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["single_clause.layout"]
 
 

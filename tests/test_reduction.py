@@ -1,6 +1,7 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wcfold.model import score
+from wcfold.model import score, validate_folding
 from wcfold.reduction import (
     LayoutError,
     assemble,
@@ -12,6 +13,7 @@ from wcfold.reduction import (
     verify_instance,
     verify_straightness,
 )
+from wcfold.reduction.assemble import _Tracer
 
 
 def test_flex_strands():
@@ -157,6 +159,44 @@ class TestSingleClauseFixture:
     def test_unknown_assignment_variable(self, instance):
         with pytest.raises(LayoutError, match="unknown variables \\['typo'\\]"):
             instance.intended_folding({"x": True, "typo": False})
+
+
+@st.composite
+def one_block_layouts(draw):
+    """One variable/clause block, optionally followed by a fixed turn.  (A
+    fixed left turn before the block would run the route into the tail.)"""
+    side, other = draw(st.sampled_from([("left", "right"), ("right", "left")]))
+    a, b, r, c, d = (draw(st.integers(lo, hi)) for lo, hi in ((1, 4), (1, 5), (1, 3), (8, 14), (1, 3)))
+    lines = ["spacing 84", "variable x", "clause c1 literals x",
+             f"segment flex {a}", f"turn u variable x true={side} partner=v",
+             f"segment flex {b}", f"segment rigid {r} clause=c1", f"segment flex {c}",
+             f"turn v variable x true={other} partner=u", f"segment flex {d}"]
+    after = draw(st.sampled_from([None, "left", "right"]))
+    if after:
+        lines += [f"turn f1 fixed {after}", f"segment flex {draw(st.integers(1, 3))}"]
+    return "\n".join(lines) + "\n"
+
+
+@given(one_block_layouts())
+@settings(max_examples=30, deadline=None)
+def test_generated_block_layouts(text):
+    layout = parse_layout(text)
+    inst = assemble(layout)
+    assert inst.bondable == 2 * len(inst.zip_pairs) + 2 * inst.t
+    lo, hi = inst.outbound_range
+    outbound = inst.chain.seq[lo - 1:hi]
+    for value in (True, False):
+        tracer = _Tracer(layout, {"x": value})
+        tracer.run()
+        assert (len(tracer.a), len(tracer.b)) == (inst.outbound_length, inst.returning_length)
+        # The outbound strand is the same under every assignment; spacers
+        # get their bases only when the molecule is built.
+        assert all(e.base in (None, base) for e, base in zip(tracer.a, outbound))
+        folding = inst.intended_folding({"x": value})
+        validate_folding(inst.chain, folding.points)
+        bonds, _ = verify_instance(inst, {"x": value})
+        # x alone satisfies the one clause, and then the bonds are exactly k.
+        assert bonds == inst.k if value else bonds < inst.k
 
 
 def test_spacing_gate():

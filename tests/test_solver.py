@@ -8,7 +8,6 @@ from wcfold.model import Chain, parse_chain, validate_folding, score
 from wcfold.solver import (
     LengthLimitError,
     exact_solve,
-    is_unique_optimal,
     optimal_score,
 )
 from wcfold.walks import canonical_moves, enumerate_walk_points
@@ -46,7 +45,6 @@ def test_single_step_chain():
     report = exact_solve(parse_chain("GC"))
     assert report.optimal_score == 0
     assert report.optimal_count == 1
-    assert is_unique_optimal(parse_chain("GC"))
 
 
 def test_single_node_chain():
@@ -128,6 +126,15 @@ def test_leaf_count_matches_walk_enumeration():
     chain = Chain("X" * 7)
     report = exact_solve(chain, prune=False)
     assert report.optimal_count == len(list(enumerate_walk_points(7)))
+
+
+@pytest.mark.parametrize("length", [12, 13])
+def test_node_count_is_the_walk_tree_size(length):
+    # With pruning off every canonical walk prefix is placed once, on both
+    # sides of the partition threshold (12 bases).
+    report = exact_solve(Chain("X" * length), prune=False)
+    tree_size = sum(len(list(enumerate_walk_points(d))) for d in range(1, length + 1))
+    assert report.nodes_explored == tree_size
 
 
 def test_worker_determinism_small():

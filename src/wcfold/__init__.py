@@ -2,7 +2,6 @@
 constructions, a constant-factor approximation, and SAT gadget compilation."""
 
 from .bounds import (
-    ChainFamilySpec,
     ParityCensus,
     bounding_box_bound,
     gc_block_chain,
@@ -36,7 +35,6 @@ from .walks import canonical_moves, moves_to_points, points_to_moves
 __all__ = [
     "BondSet",
     "Chain",
-    "ChainFamilySpec",
     "ChainParseError",
     "ContactEdge",
     "Folding",

@@ -2,8 +2,9 @@
 
 The chain is first relabeled by parity dominance: whichever of the pairings
 (odd-G with even-C) or (even-G with odd-C) admits more bonds keeps its two
-classes, renamed odd-1 and even-1, and every other node becomes a 0.  This
-throws away at most half of the parity bound.  A fold-point sweep then picks
+classes, called odd-1 and even-1, and every other node is ignored.  This
+throws away at most half of the parity bound.  A relabel branch is just the
+two sorted position lists of its classes.  A fold-point sweep then picks
 a chain edge and pairs odd-1 nodes on one side with even-1 nodes on the
 other, outside-in, which always yields at least floor(min(#odd-1,
 #even-1) / 2) nested pairs.  The folding realizes one bond per pair: the two
@@ -15,8 +16,9 @@ innermost pair routes around the open end.
 Planning (plan_fold) and building (build_folding) are separate steps, so a
 caller can report the plan that was actually built.  The sweep makes one
 pass per side-role assignment, fewer than 4L steps per relabel branch
-(fold edges visited plus pointer advances);
-test_approx_linear_operation_growth in tests/test_approx.py counts them.  The construction places each node once.
+(fold edges visited plus pointer advances, which _sweep_role returns);
+test_approx_linear_operation_growth in tests/test_approx.py counts them.
+The construction places each node once.
 """
 
 from __future__ import annotations
@@ -25,10 +27,6 @@ from dataclasses import dataclass
 
 from .bounds import parity_census
 from .model import Chain, Folding, score, validate_folding
-
-LABEL_ODD1 = "odd-1"
-LABEL_EVEN1 = "even-1"
-LABEL_ZERO = "0"
 
 BRANCH_ODDG_EVENC = "oddG/evenC"
 BRANCH_EVENG_ODDC = "evenG/oddC"
@@ -40,17 +38,13 @@ class ScopeError(ValueError):
 
 @dataclass(frozen=True)
 class RelabeledChain:
+    """One relabel branch: the 1-based positions of its odd-1 and even-1
+    nodes, each in increasing order."""
+
     chain: Chain
-    labels: tuple[str, ...]
     branch: str
-
-    @property
-    def odd_one_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, lab in enumerate(self.labels, 1) if lab == LABEL_ODD1)
-
-    @property
-    def even_one_positions(self) -> tuple[int, ...]:
-        return tuple(i for i, lab in enumerate(self.labels, 1) if lab == LABEL_EVEN1)
+    odd_one_positions: tuple[int, ...]
+    even_one_positions: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -58,29 +52,32 @@ class FoldPlan:
     """A fold edge, the nested bond pairs, and where they came from.
 
     matched_pairs are (left, right) chain indices, left <= fold_index <
-    right, nested outside-in.  left_class is the label class on the left
-    arm, and branch is the relabel branch whose classes were paired.
+    right, nested outside-in; branch is the relabel branch whose classes
+    were paired.
     """
 
     fold_index: int
     matched_pairs: tuple[tuple[int, int], ...]
-    left_class: str
     branch: str
 
 
 def _relabel_as(chain: Chain, branch: str) -> RelabeledChain:
-    if branch == BRANCH_ODDG_EVENC:
-        ones = {("G", 1): LABEL_ODD1, ("C", 0): LABEL_EVEN1}
-    else:
-        ones = {("G", 0): LABEL_EVEN1, ("C", 1): LABEL_ODD1}
-    labels = tuple(
-        ones.get((b, i % 2), LABEL_ZERO) for i, b in enumerate(chain.seq, 1)
+    # odd-1 is the odd-index G (oddG/evenC) or C (evenG/oddC), and even-1 the
+    # even-index other base; the slices are the ones parity_census counts.
+    odd_base, even_base = ("G", "C") if branch == BRANCH_ODDG_EVENC else ("C", "G")
+    seq, end = chain.seq, len(chain) + 1
+    return RelabeledChain(
+        chain=chain,
+        branch=branch,
+        odd_one_positions=tuple(
+            i for i, b in zip(range(1, end, 2), seq[0::2]) if b == odd_base),
+        even_one_positions=tuple(
+            i for i, b in zip(range(2, end, 2), seq[1::2]) if b == even_base),
     )
-    return RelabeledChain(chain=chain, labels=labels, branch=branch)
 
 
 def relabel(chain: Chain) -> RelabeledChain:
-    """Rename the dominant parity classes to odd-1/even-1, the rest to 0."""
+    """The census-preferred branch: the parity classes that admit more bonds."""
     if set(chain.seq) - {"G", "C"}:
         raise ScopeError("the approximation applies to chains over G and C only")
     c = parity_census(chain)
@@ -137,43 +134,33 @@ def _sweep_role(
     return best_pairs, best_centre, best_f, best_take, steps
 
 
-def choose_fold_point(relabeled: RelabeledChain, *, _stats: dict | None = None) -> FoldPlan:
+def choose_fold_point(relabeled: RelabeledChain) -> FoldPlan:
     """Sweep every fold edge and side-role assignment for the most pairs.
 
     Ties prefer the fold edge closest to the middle of the chain, then the
     smaller edge, then odd-1 on the left arm.  Each role is one linear
     pass (_sweep_role); the keys (pairs, -|2f-L|, role preference) of the
     two roles never tie, so the better of the two per-role bests is the
-    best overall.  Pairs are built for the winning edge only.  With
-    _stats, "sweep_steps" is set to the steps both passes took.
+    best overall.  Pairs are built for the winning edge only.
     """
     length = len(relabeled.chain)
-    branch = relabeled.branch
     if length < 2:
-        return FoldPlan(fold_index=0, matched_pairs=(), left_class=LABEL_ODD1, branch=branch)
+        return FoldPlan(fold_index=0, matched_pairs=(), branch=relabeled.branch)
     odd1 = relabeled.odd_one_positions
     even1 = relabeled.even_one_positions
 
-    best = None  # (key, fold edge, left nodes, right nodes, take, left class)
-    steps = 0
-    for left, right, left_class, pref in (
-        (odd1, even1, LABEL_ODD1, 1),
-        (even1, odd1, LABEL_EVEN1, 0),
-    ):
-        pairs, centre, f, take, role_steps = _sweep_role(left, right, length)
-        steps += role_steps
+    best = None  # (key, fold edge, left nodes, right nodes, take)
+    for left, right, pref in ((odd1, even1, 1), (even1, odd1, 0)):
+        pairs, centre, f, take, _ = _sweep_role(left, right, length)
         key = (pairs, centre, pref)
         if best is None or key > best[0]:
-            best = (key, f, left, right, take, left_class)
+            best = (key, f, left, right, take)
 
-    if _stats is not None:
-        _stats["sweep_steps"] = steps
-    _, fold_index, left, right, take, left_class = best
+    _, fold_index, left, right, take = best
     return FoldPlan(
         fold_index=fold_index,
         matched_pairs=tuple(_pairing(left, right, take)),
-        left_class=left_class,
-        branch=branch,
+        branch=relabeled.branch,
     )
 
 

@@ -107,34 +107,3 @@ def mixed_block_chain(m: int, n: int) -> Chain:
         raise ValueError("m + n must be at least 2")
     h_m, h_n = m // 2, n // 2
     return Chain("G" * h_m + "A" * h_n + "U" * h_n + "C" * h_m)
-
-
-@dataclass(frozen=True)
-class ChainFamilySpec:
-    """A generator request: family 'sn' (G^n C^n) or 'mixed' (with m)."""
-
-    family: str
-    n: int
-    m: int | None = None
-
-    def generate(self) -> Chain:
-        if self.family == "sn":
-            return gc_block_chain(self.n)
-        if self.family == "mixed":
-            if self.m is None:
-                raise ValueError("mixed family needs both m and n")
-            return mixed_block_chain(self.m, self.n)
-        raise ValueError(f"unknown family {self.family!r}")
-
-    @property
-    def uniqueness_guaranteed(self) -> bool:
-        """Whether the unique-optimal-folding guarantee applies to this size.
-
-        Block chains of half-length above 3 have a unique optimal folding;
-        the mixed family inherits the guarantee when (m + n) / 2 > 3.
-        """
-        if self.family == "sn":
-            return self.n > 3
-        if self.family == "mixed":
-            return self.m is not None and (self.m + self.n) // 2 > 3
-        return False

@@ -31,6 +31,7 @@ from .solver import (
     DEFAULT_REPRESENTATIVE_CAP,
     LengthLimitError,
     exact_solve,
+    optimal_score,
 )
 from .walks import points_to_moves
 
@@ -67,15 +68,19 @@ def _read_sequence(arg: str) -> Chain:
     return parse_chain(arg)
 
 
-def _emit(doc: ResultDocument, args) -> None:
+def _emit(doc: ResultDocument, args, elapsed_ms: float | None = None) -> None:
     text = doc.render(args.format)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    if doc.timing_ms is not None:
-        print(f"# elapsed {doc.timing_ms:.1f} ms", file=sys.stderr)
+    if elapsed_ms is not None:
+        print(f"# elapsed {elapsed_ms:.1f} ms", file=sys.stderr)
 
+
+def _require_at_least(flag: str, value: int, minimum: int) -> None:
+    if value < minimum:
+        raise _UsageError(f"{flag} must be at least {minimum}, got {value}")
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -164,6 +169,8 @@ def _assignment_tag(assignment: dict[str, bool]) -> str:
 
 
 def _cmd_solve(args) -> ResultDocument:
+    _require_at_least("--workers", args.workers, 1)
+    _require_at_least("--representatives", args.representatives, 0)
     chain = _read_sequence(args.sequence)
     report = exact_solve(
         chain,
@@ -216,10 +223,9 @@ def _cmd_gen(args) -> ResultDocument:
         if args.m is None:
             raise _UsageError("gen mixed needs two numbers: m n")
         # Positional order is `gen mixed M N`: M bases of G/C, N of A/U.
-        spec = bounds.ChainFamilySpec("mixed", n=args.m, m=args.n)
+        chain = bounds.mixed_block_chain(args.n, args.m)
     else:
-        spec = bounds.ChainFamilySpec("sn", n=args.n)
-    chain = spec.generate()
+        chain = bounds.gc_block_chain(args.n)
     doc = ResultDocument(command="gen")
     doc.inputs["family"] = args.family
     doc.inputs["n"] = args.n
@@ -227,7 +233,8 @@ def _cmd_gen(args) -> ResultDocument:
         doc.inputs["m"] = args.m
     doc.outputs["sequence"] = chain.seq
     doc.outputs["length"] = len(chain)
-    doc.outputs["unique_folding_guaranteed"] = spec.uniqueness_guaranteed
+    # Both families have a unique optimal folding above half-length 3.
+    doc.outputs["unique_folding_guaranteed"] = len(chain) // 2 > 3
     if args.emit_folding:
         if args.family != "sn":
             raise _UsageError("--emit-folding applies to the sn family")
@@ -254,9 +261,7 @@ def _cmd_approx(args) -> ResultDocument:
     doc.outputs["bound_parity"] = bounds.parity_bound(chain)
     doc.outputs["folding_moves"] = points_to_moves(folding.points)
     if args.exact:
-        report = exact_solve(chain, max_length=args.max_length, count=False,
-                             representative_cap=0)
-        doc.outputs["optimal"] = report.optimal_score
+        doc.outputs["optimal"] = optimal_score(chain, max_length=args.max_length)
     if args.folding_out:
         write_folding_file(args.folding_out, folding, comment=f"approx {chain.seq}")
         doc.outputs["folding_file"] = args.folding_out
@@ -293,6 +298,7 @@ def _cmd_reduce(args) -> ResultDocument:
 
 
 def _cmd_verify(args) -> ResultDocument:
+    _require_at_least("--workers", args.workers, 1)
     doc = ResultDocument(command="verify")
     if args.gadget:
         ok = reduction.verify_straightness(args.gadget, args.periods, workers=args.workers)
@@ -367,8 +373,7 @@ def _run(argv) -> int:
         started = time.perf_counter()
         doc = _HANDLERS[args.command](args)
         if doc is not None:
-            doc.timing_ms = (time.perf_counter() - started) * 1000.0
-            _emit(doc, args)
+            _emit(doc, args, (time.perf_counter() - started) * 1000.0)
         return EXIT_OK
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -380,9 +385,7 @@ def _run(argv) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except _VerificationFailed as exc:
-        doc = exc.args[0]
-        doc.timing_ms = None
-        _emit(doc, args)
+        _emit(exc.args[0], args)
         print("verification failed", file=sys.stderr)
         return EXIT_VERIFY
 

@@ -7,9 +7,9 @@ implicit at the origin; a file holds one format, never both.
 
 A ResultDocument is the CLI's output unit: command echo, input digest,
 outputs, and diagnostics, emitted either as line-oriented "key: value" text
-with a stable field order or as JSON.  Wall-clock timing is deliberately
-kept out of both encodings (it goes to stderr) so that identical inputs and
-flags always produce identical documents.
+with a stable field order or as JSON.  A document holds no wall-clock
+timing (the CLI prints it to stderr) so that identical inputs and flags
+always produce identical documents.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .model import Folding
-from .walks import moves_to_points, points_to_moves
+from .walks import moves_to_points
 
 
 def write_folding_file(path, folding: Folding, comment: str | None = None) -> None:
@@ -63,17 +63,12 @@ def sequence_digest(seq: str) -> str:
 
 @dataclass
 class ResultDocument:
-    """Structured result of one CLI invocation.
-
-    timing_ms is populated for library callers but excluded from both text
-    and JSON encodings; see the module docstring.
-    """
+    """Structured result of one CLI invocation."""
 
     command: str
     inputs: dict[str, Any] = field(default_factory=dict)
     outputs: dict[str, Any] = field(default_factory=dict)
     diagnostics: dict[str, Any] = field(default_factory=dict)
-    timing_ms: float | None = None
 
     def to_text(self) -> str:
         lines = [f"command: {self.command}"]
@@ -106,8 +101,6 @@ class ResultDocument:
 def _fmt(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Folding):
-        return points_to_moves(value.points)
     if isinstance(value, (list, tuple)):
         return " ".join(_fmt(v) for v in value)
     return str(value)

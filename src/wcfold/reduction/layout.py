@@ -17,14 +17,14 @@ rectilinear routing.  A layout file is line-oriented:
 
 Elements trace one corridor (the doubled strand follows it out and back;
 tails and the far-end turnaround are implicit).  Segments advance by whole
-gadget periods (4 cells flex, 8 rigid).  A turn bends the corridor 90
-degrees; fixed turns bake the direction in, variable turns take it from a
-truth assignment (the declared true= direction for True, its mirror for
-False).  Variable turns come in partner pairs with opposite true
-directions, so the corridor heading and strand alignment are restored after
-the pair for every assignment.  A rigid segment tagged clause=NAME is that
-clause's coupling: it must sit between the partnered turns of one of the
-clause's literals, where only the satisfying bend direction keeps its
+gadget periods (4 cells flex, 8 rigid), at least one each.  A turn bends
+the corridor 90 degrees; fixed turns bake the direction in, variable turns
+take it from a truth assignment (the declared true= direction for True,
+its mirror for False).  Variable turns come in partner pairs with opposite
+true directions, so the corridor heading and strand alignment are restored
+after the pair for every assignment.  A rigid segment tagged clause=NAME is
+that clause's coupling: it must sit between the partnered turns of one of
+the clause's literals, where only the satisfying bend direction keeps its
 8-cycle pattern aligned.
 """
 
@@ -108,6 +108,9 @@ def parse_layout(text: str) -> SatLayout:
                 if kind not in PERIODS:
                     raise LayoutError(f"unknown segment kind {kind!r}")
                 periods = int(parts[2])
+                if periods < 1:
+                    raise LayoutError(
+                        f"line {lineno}: segment needs at least 1 period, got {periods}")
                 clause = None
                 for opt in parts[3:]:
                     key, _, value = opt.partition("=")

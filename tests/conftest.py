@@ -41,3 +41,18 @@ def brute_force_optimum(chain):
         elif s == best:
             count += 1
     return best, count
+
+
+# A zero-period flex segment between a fixed turn and a variable turn bent
+# right: before periods were checked, assemble indexed a spacer's base.
+ZERO_PERIOD_LAYOUT = """
+spacing 200
+variable x
+segment flex 1
+turn f fixed left
+segment flex 0
+turn u variable x true=right partner=v
+segment flex 2
+turn v variable x true=left partner=u
+segment flex 2
+"""

@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcfold.approx import (
-    LABEL_EVEN1,
-    LABEL_ODD1,
-    LABEL_ZERO,
     BRANCH_EVENG_ODDC,
     BRANCH_ODDG_EVENC,
     FoldPlan,
     ScopeError,
     _relabel_as,
+    _sweep_role,
     approx_fold,
     build_folding,
     choose_fold_point,
@@ -29,10 +27,8 @@ from wcfold.solver import optimal_score
 def test_relabel_block_chain():
     rl = relabel(parse_chain("GGGGCCCC"))
     assert rl.branch == BRANCH_ODDG_EVENC
-    assert rl.labels == (
-        LABEL_ODD1, LABEL_ZERO, LABEL_ODD1, LABEL_ZERO,
-        LABEL_ZERO, LABEL_EVEN1, LABEL_ZERO, LABEL_EVEN1,
-    )
+    assert rl.odd_one_positions == (1, 3)
+    assert rl.even_one_positions == (6, 8)
 
 
 def test_relabel_all_g():
@@ -42,7 +38,21 @@ def test_relabel_all_g():
 
 def test_relabel_gc():
     rl = relabel(parse_chain("GC"))
-    assert rl.labels == (LABEL_ODD1, LABEL_EVEN1)
+    assert (rl.odd_one_positions, rl.even_one_positions) == ((1,), (2,))
+
+
+def test_relabel_positions_exhaustive():
+    """odd-1 is each odd-index G (oddG/evenC) or C (evenG/oddC), even-1
+    each even-index node of the other base."""
+    for length in range(1, 9):
+        for combo in itertools.product("GC", repeat=length):
+            seq = "".join(combo)
+            for branch, ones in ((BRANCH_ODDG_EVENC, "GC"), (BRANCH_EVENG_ODDC, "CG")):
+                rl = _relabel_as(Chain(seq), branch)
+                assert rl.odd_one_positions == tuple(
+                    i for i in range(1, length + 1) if i % 2 and seq[i - 1] == ones[0])
+                assert rl.even_one_positions == tuple(
+                    i for i in range(1, length + 1) if not i % 2 and seq[i - 1] == ones[1])
 
 
 def test_relabel_scope():
@@ -72,25 +82,22 @@ def _reference_fold_point(relabeled):
     odd-1-left) key."""
     length = len(relabeled.chain)
     if length < 2:
-        return FoldPlan(0, (), LABEL_ODD1, relabeled.branch)
+        return FoldPlan(0, (), relabeled.branch)
     odd1 = relabeled.odd_one_positions
     even1 = relabeled.even_one_positions
     best = best_plan = None
     for f in range(1, length):
-        for left_nodes, right_nodes, left_class in (
-            (odd1, even1, LABEL_ODD1),
-            (even1, odd1, LABEL_EVEN1),
-        ):
+        for left_nodes, right_nodes in ((odd1, even1), (even1, odd1)):
             left = [p for p in left_nodes if p <= f]
             right = [p for p in right_nodes if p > f]
             take = min(len(left), len(right))
             pairs = [(left[t], right[len(right) - 1 - t]) for t in range(take)]
             if pairs and pairs[-1][1] == pairs[-1][0] + 1:
                 pairs.pop()
-            key = (len(pairs), -abs(2 * f - length), left_class == LABEL_ODD1)
+            key = (len(pairs), -abs(2 * f - length), left_nodes is odd1)
             if best is None or key > best:
                 best = key
-                best_plan = FoldPlan(f, tuple(pairs), left_class, relabeled.branch)
+                best_plan = FoldPlan(f, tuple(pairs), relabeled.branch)
     return best_plan
 
 
@@ -187,9 +194,11 @@ def test_approx_valid_on_random_chains(seq):
 
 
 def _sweep_steps(seq):
-    stats = {}
-    choose_fold_point(relabel(Chain(seq)), _stats=stats)
-    return stats["sweep_steps"]
+    """The steps of both side-role passes that choose_fold_point makes."""
+    rl = relabel(Chain(seq))
+    odd1, even1 = rl.odd_one_positions, rl.even_one_positions
+    return sum(_sweep_role(left, right, len(seq))[-1]
+               for left, right in ((odd1, even1), (even1, odd1)))
 
 
 def test_approx_linear_operation_growth():

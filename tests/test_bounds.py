@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcfold.bounds import (
-    ChainFamilySpec,
     bbox_bound_is_extension,
     bounding_box_bound,
     gc_block_chain,
@@ -68,16 +67,6 @@ def test_mixed_block_chain():
     assert mixed_block_chain(0, 8).seq == "AAAAUUUU"
     with pytest.raises(ValueError):
         mixed_block_chain(3, 4)
-
-
-def test_family_spec():
-    assert ChainFamilySpec("sn", 4).generate().seq == "GGGGCCCC"
-    assert ChainFamilySpec("sn", 4).uniqueness_guaranteed
-    assert not ChainFamilySpec("sn", 3).uniqueness_guaranteed
-    assert ChainFamilySpec("mixed", 4, 4).uniqueness_guaranteed
-    assert not ChainFamilySpec("mixed", 2, 2).uniqueness_guaranteed
-    with pytest.raises(ValueError):
-        ChainFamilySpec("zigzag", 4).generate()
 
 
 @pytest.mark.parametrize("n", range(2, 31))

@@ -13,6 +13,8 @@ from wcfold.model import Chain
 from wcfold.walks import points_to_moves
 from wcfold.reduction import bundled_layout_text
 
+from conftest import ZERO_PERIOD_LAYOUT
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -55,8 +57,11 @@ def test_parse_error_exit_code(capsys):
 
 
 def test_usage_error_exit_code(capsys):
-    code, _, _ = run_cli(capsys, "gen", "spiral", "4")
-    assert code == 1
+    for family in ("spiral", "zigzag"):
+        code, out, err = run_cli(capsys, "gen", family, "4")
+        assert code == 1
+        assert out == ""
+        assert f"invalid choice: '{family}'" in err
 
 
 def test_bound_parity(capsys):
@@ -85,6 +90,18 @@ def test_gen_mixed(capsys):
     code, out, _ = run_cli(capsys, "gen", "mixed", "4", "4")
     assert code == 0
     assert "output.sequence: GGAAUUCC" in out
+
+
+@pytest.mark.parametrize("argv, unique", [
+    (("sn", "3"), "false"),
+    (("sn", "4"), "true"),
+    (("mixed", "4", "4"), "true"),
+    (("mixed", "2", "2"), "false"),
+], ids=["sn-3", "sn-4", "mixed-4-4", "mixed-2-2"])
+def test_gen_uniqueness_guarantee(capsys, argv, unique):
+    code, out, _ = run_cli(capsys, "gen", *argv)
+    assert code == 0
+    assert f"output.unique_folding_guaranteed: {unique}\n" in out
 
 
 def test_gen_hairpin_file(capsys, tmp_path):
@@ -165,6 +182,21 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err.startswith("error: internal check failed: construction must realize")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "GGGGCCCC", "--workers", "0"), "--workers must be at least 1, got 0"),
+    (("solve", "GGGGCCCC", "--workers", "-3"), "--workers must be at least 1, got -3"),
+    (("solve", "GGGGCCCC", "--representatives", "-1"),
+     "--representatives must be at least 0, got -1"),
+    (("verify", "--gadget", "flex", "--workers", "0"), "--workers must be at least 1, got 0"),
+], ids=["solve-workers-0", "solve-workers-negative", "solve-representatives-negative",
+        "verify-workers-0"])
+def test_rejects_out_of_range_counts(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_render_ascii(capsys, tmp_path):
@@ -383,6 +415,15 @@ def test_reduce_rejects_repeated_variable(capsys, tmp_path):
     assert out == ""
     assert err == "error: variable 'x' assigned more than once in 'x=true x=false'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["single_clause.layout"]
+
+
+def test_reduce_rejects_zero_period_segment(capsys, tmp_path):
+    layout = tmp_path / "zero.layout"
+    layout.write_text(ZERO_PERIOD_LAYOUT)
+    code, out, err = run_cli(capsys, "reduce", str(layout))
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 6: segment needs at least 1 period, got 0\n"
 
 
 def test_render_rejects_mixed_folding_file(capsys, tmp_path):

@@ -59,7 +59,6 @@ def test_document_text_round_trip():
         inputs={"sequence": "GGGGCCCC", "digest": sequence_digest("GGGGCCCC")},
         outputs={"optimal_score": 3, "unique": True},
         diagnostics={"nodes_explored": 96},
-        timing_ms=12.5,
     )
     text = doc.to_text()
     assert "timing" not in text

@@ -15,6 +15,8 @@ from wcfold.reduction import (
 )
 from wcfold.reduction.assemble import _Tracer
 
+from conftest import ZERO_PERIOD_LAYOUT
+
 
 def test_flex_strands():
     assert flex_strands(1) == ("CCCA", "GGGU")
@@ -197,6 +199,14 @@ def test_generated_block_layouts(text):
         bonds, _ = verify_instance(inst, {"x": value})
         # x alone satisfies the one clause, and then the bonds are exactly k.
         assert bonds == inst.k if value else bonds < inst.k
+
+
+@pytest.mark.parametrize("periods", ["0", "-2"])
+def test_segment_needs_a_period(periods):
+    text = ZERO_PERIOD_LAYOUT.replace("segment flex 0", f"segment flex {periods}")
+    message = f"line 6: segment needs at least 1 period, got {periods}"
+    with pytest.raises(LayoutError, match=message):
+        parse_layout(text)
 
 
 def test_spacing_gate():

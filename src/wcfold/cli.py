@@ -225,6 +225,8 @@ def _cmd_gen(args) -> ResultDocument:
         # Positional order is `gen mixed M N`: M bases of G/C, N of A/U.
         chain = bounds.mixed_block_chain(args.n, args.m)
     else:
+        if args.m is not None:
+            raise _UsageError(f"gen sn takes one number n, got an extra {args.m}")
         chain = bounds.gc_block_chain(args.n)
     doc = ResultDocument(command="gen")
     doc.inputs["family"] = args.family
@@ -301,6 +303,9 @@ def _cmd_verify(args) -> ResultDocument:
     _require_at_least("--workers", args.workers, 1)
     doc = ResultDocument(command="verify")
     if args.gadget:
+        if args.layout is not None or args.assign is not None:
+            raise _UsageError("--gadget checks an isolated gadget; it takes no layout file "
+                              "or --assign")
         ok = reduction.verify_straightness(args.gadget, args.periods, workers=args.workers)
         doc.inputs["gadget"] = args.gadget
         doc.inputs["periods"] = args.periods

@@ -5,18 +5,25 @@ walk per symmetry orbit) and maintains a maximum matching on the contact
 graph incrementally: adding one node grows the matching by at most one, so
 a single augmenting-path attempt from the new node keeps it maximum.
 
-Pruning uses an admissible upper bound on any completion of a partial walk:
+Pruning uses an admissible upper bound on any completion of a partial walk.
+Nodes fall into eight classes, base (G, C, A, U) times index parity; X
+nodes never bond and sit in a ninth slot that the bound ignores.  The
+census avail[c] counts the available nodes of class c: the unplaced ones
+plus the placed ones that still have a free neighbouring cell.  Placing
+and unplacing a node keep it up to date.  The bound is
 
-    matching_so_far + min(parity-census bound over available nodes,
+    matching_so_far + min(sum over the four complementary class pairs of
+                          min(avail[a], avail[b]),
                           number of unplaced bondable nodes)
 
-where "available" means unplaced nodes plus placed nodes that still have a
-free neighbouring cell.  Every bond of a completed folding either lies
-inside the placed part (counted by the matching, which is maximum) or
-touches an unplaced node, and such a bond needs one available node of each
-class with opposite parity, so the bound never underestimates.  The search
-also seeds its best-so-far with the score of the plain half-length hairpin,
-which is a real folding of the chain and therefore a valid lower bound.
+where a pair is G with C, or A with U, of opposite index parity.  Every
+bond of a completed folding either lies inside the placed part (counted by
+the matching, which is maximum) or touches an unplaced node.  Such a bond
+joins two available nodes of a complementary pair, and the score is a
+matching, so no node takes part in two such bonds: the bound never
+underestimates.  The search also seeds its best-so-far with the score of
+the plain half-length hairpin, which is a real folding of the chain and
+therefore a valid lower bound.
 
 The search tree is partitioned by canonical prefixes at a fixed depth that
 depends only on the chain length, and subtree results merge associatively
@@ -43,7 +50,7 @@ _PREFIX_NODES = 6
 # Base codes: the bound's class layout relies on this order, and X is last.
 _BASES = "GCAUX"
 _CODE = {b: c for c, b in enumerate(_BASES)}
-# Complementarity on base codes, indexed _COMP[code][code] in the hot loop.
+# Complementarity on base codes, from which each search builds its bond rows.
 _COMP = tuple(tuple(complementary(a, b) for b in _BASES) for a in _BASES)
 
 
@@ -98,133 +105,113 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple], int, int]:
     length = len(seq)
     width = 2 * length + 1
     dirs4 = (width, 1, -width, -1)
+    dirs2 = dirs4[:2]
 
-    code = [0] * (length + 1)
-    cls = [0] * (length + 1)
-    for i, ch in enumerate(seq, 1):
-        c = _CODE[ch]
-        code[i] = c
-        cls[i] = -1 if c == 4 else (c << 1) | (i & 1)
-
-    # suffix[p]: class counts over indices > p; nbond[p]: bondable count > p.
-    suffix: list[tuple[int, ...]] = [()] * (length + 1)
+    # cls[i]: (base code << 1) | parity of i for G/C/A/U; X gets slot 8,
+    # which the bound never reads.  avail[c] starts as the class census.
+    code = [4] + [_CODE[ch] for ch in seq]
+    cls = [8 if c == 4 else (c << 1) | (i & 1) for i, c in enumerate(code)]
+    avail = [0] * 9
+    for c in cls[1:]:
+        avail[c] += 1
+    # nbond[p]: number of bondable nodes with index > p.
     nbond = [0] * (length + 1)
-    acc = [0] * 8
-    cnt_b = 0
-    suffix[length] = tuple(acc)
-    for p in range(length, 0, -1):
-        if cls[p] >= 0:
-            acc[cls[p]] += 1
-            cnt_b += 1
-        suffix[p - 1] = tuple(acc)
-        nbond[p - 1] = cnt_b
+    for p in range(length - 1, -1, -1):
+        nbond[p] = nbond[p + 1] + (cls[p + 1] != 8)
+    # bond[i][q]: nodes i and q can bond (complementary, not chain-adjacent).
+    bond = [[_COMP[code[i]][code[q]] and abs(i - q) != 1 for q in range(length + 1)]
+            for i in range(length + 1)]
 
     occ = [0] * (width * width)
     pos = [0] * (length + 1)
     match = [0] * (length + 1)
     adj: list[list[int]] = [[] for _ in range(length + 1)]
     free_cnt = [0] * (length + 1)
-    exp8 = [0] * 8
     vis = [0] * (length + 1)
+    # Flat journal of (node, previous match) pairs for undoing augmentations.
+    undo: list[int] = []
     stamp = 0
     mu = 0
 
-    comp = _COMP
+    def try_node(u: int) -> bool:
+        """Kuhn augmenting-path step from u, journalling every rematch."""
+        for q in adj[u]:
+            if vis[q] == stamp:
+                continue
+            vis[q] = stamp
+            w = match[q]
+            if w == 0 or try_node(w):
+                undo.extend((q, w, u, match[u]))
+                match[q] = u
+                match[u] = q
+                return True
+        return False
 
-    def augment(root: int):
-        """One Kuhn augmenting attempt from a newly placed node.
+    def place(i: int, cell: int) -> int:
+        """Occupy cell with node i, update census/adjacency/matching.
 
-        Returns the journal of (node, previous_match) changes, or None.
+        Returns the undo-stack mark that unplace rolls back to, or -1 when
+        the matching did not grow.
         """
-        nonlocal stamp
-        stamp += 1
-        changes: list[tuple[int, int]] = []
-
-        def try_node(u: int) -> bool:
-            for q in adj[u]:
-                if vis[q] == stamp:
-                    continue
-                vis[q] = stamp
-                w = match[q]
-                if w == 0 or try_node(w):
-                    changes.append((q, match[q]))
-                    changes.append((u, match[u]))
-                    match[q] = u
-                    match[u] = q
-                    return True
-            return False
-
-        return changes if try_node(root) else None
-
-    def place(i: int, cell: int):
-        """Occupy cell with node i, update censuses/adjacency/matching.
-
-        Returns the augmentation journal (or None) for undo.
-        """
-        nonlocal mu
+        nonlocal mu, stamp
         occ[cell] = i
         pos[i] = cell
+        row = bond[i]
+        adj_i = adj[i]
         nfree = 0
-        ci = code[i]
         for d in dirs4:
             q = occ[cell + d]
             if q:
-                free_cnt[q] -= 1
-                if free_cnt[q] == 0 and cls[q] >= 0:
-                    exp8[cls[q]] -= 1
-                if q != i - 1 and comp[ci][code[q]]:
-                    adj[i].append(q)
+                f = free_cnt[q] - 1
+                free_cnt[q] = f
+                if not f:
+                    avail[cls[q]] -= 1
+                if row[q]:
+                    adj_i.append(q)
                     adj[q].append(i)
             else:
                 nfree += 1
         free_cnt[i] = nfree
-        if nfree and cls[i] >= 0:
-            exp8[cls[i]] += 1
-        journal = None
-        if adj[i]:
-            journal = augment(i)
-            if journal is not None:
+        if not nfree:
+            avail[cls[i]] -= 1
+        if adj_i:
+            stamp += 1
+            mark = len(undo)
+            if try_node(i):
                 mu += 1
-        return journal
+                return mark
+        return -1
 
-    def unplace(i: int, journal):
+    def unplace(i: int, mark: int):
         nonlocal mu
-        cell = pos[i]
-        if journal is not None:
+        if mark >= 0:
             mu -= 1
-            for node, prev in reversed(journal):
-                match[node] = prev
-        for q in adj[i]:
-            adj[q].pop()
-        adj[i].clear()
-        if free_cnt[i] and cls[i] >= 0:
-            exp8[cls[i]] -= 1
+            for k in range(len(undo) - 2, mark - 2, -2):
+                match[undo[k]] = undo[k + 1]
+            del undo[mark:]
+        adj_i = adj[i]
+        if adj_i:
+            for q in adj_i:
+                adj[q].pop()
+            adj_i.clear()
+        if not free_cnt[i]:
+            avail[cls[i]] += 1
+        cell = pos[i]
         for d in dirs4:
             q = occ[cell + d]
-            if q and q != i:
-                if free_cnt[q] == 0 and cls[q] >= 0:
-                    exp8[cls[q]] += 1
+            if q:
+                if not free_cnt[q]:
+                    avail[cls[q]] += 1
                 free_cnt[q] += 1
         occ[cell] = 0
 
     best = seed if prune else -1
+    # Counting keeps walks that tie the best; score-only mode prunes ties.
+    tie = 0 if counting else 1
     count = 0
     reps: list[tuple] = []
     nodes_explored = 0
     pruned = 0
-
-    def bound_after(i: int) -> int:
-        s = suffix[i]
-        b = (
-            min(s[1] + exp8[1], s[2] + exp8[2])
-            + min(s[0] + exp8[0], s[3] + exp8[3])
-            + min(s[5] + exp8[5], s[6] + exp8[6])
-            + min(s[4] + exp8[4], s[7] + exp8[7])
-        )
-        nb = nbond[i]
-        if b > nb:
-            b = nb
-        return mu + b
 
     def dfs(n: int, turned: bool):
         nonlocal best, count, nodes_explored, pruned
@@ -243,28 +230,42 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple], int, int]:
             return
         base_cell = pos[n]
         i = n + 1
-        for d in dirs4 if turned else (dirs4[0], dirs4[1]):
+        nb = nbond[i]
+        for d in dirs4 if turned else dirs2:
             cell = base_cell + d
             if occ[cell]:
                 continue
             nodes_explored += 1
-            journal = place(i, cell)
+            mark = place(i, cell)
             if prune:
-                b = bound_after(i)
-                if (b < best) if counting else (b <= best):
+                # Parity-census bound: each future bond pairs one available
+                # node of a class with one of its opposite-parity complement.
+                x = avail[1]
+                y = avail[2]
+                b = x if x < y else y
+                x = avail[0]
+                y = avail[3]
+                b += x if x < y else y
+                x = avail[5]
+                y = avail[6]
+                b += x if x < y else y
+                x = avail[4]
+                y = avail[7]
+                b += x if x < y else y
+                if b > nb:
+                    b = nb
+                if mu + b < best + tie:
                     pruned += 1
-                    unplace(i, journal)
+                    unplace(i, mark)
                     continue
             dfs(i, turned or d == 1 or d == -1)
-            unplace(i, journal)
+            unplace(i, mark)
 
     # Replay the prefix, then search below it.
-    journals = []
-    for k, cell in enumerate(prefix, start=1):
-        journals.append(place(k, cell))
+    marks = [place(k, cell) for k, cell in enumerate(prefix, start=1)]
     dfs(len(prefix), turned0)
     for k in range(len(prefix), 0, -1):
-        unplace(k, journals[k - 1])
+        unplace(k, marks[k - 1])
 
     return best, count, reps, nodes_explored, pruned
 

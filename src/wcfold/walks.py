@@ -51,22 +51,6 @@ def enumerate_walk_points(length: int) -> Iterator[tuple[Point, ...]]:
     yield from extend(False)
 
 
-def is_straight(points) -> bool:
-    """True when all points lie on one lattice line."""
-    pts = list(points)
-    if len(pts) <= 2:
-        return True
-    xs = {p[0] for p in pts}
-    ys = {p[1] for p in pts}
-    return len(xs) == 1 or len(ys) == 1
-
-
-def orbit_weight(points) -> int:
-    """Number of distinct walks (up to translation) in this walk's symmetry
-    orbit: 4 for straight walks, 8 otherwise."""
-    return 4 if is_straight(points) else 8
-
-
 def points_to_moves(points) -> str:
     """Encode a walk as absolute moves over {R, L, U, D} from its first node."""
     pts = list(points)

@@ -104,6 +104,13 @@ def test_gen_uniqueness_guarantee(capsys, argv, unique):
     assert f"output.unique_folding_guaranteed: {unique}\n" in out
 
 
+def test_gen_sn_rejects_a_second_number(capsys):
+    code, out, err = run_cli(capsys, "gen", "sn", "4", "5")
+    assert code == 1
+    assert out == ""
+    assert err == "error: gen sn takes one number n, got an extra 5\n"
+
+
 def test_gen_hairpin_file(capsys, tmp_path):
     path = tmp_path / "f4.fold"
     code, out, _ = run_cli(capsys, "gen", "sn", "4", "--emit-folding", str(path))
@@ -246,6 +253,16 @@ def test_verify_gadget(capsys):
     code, out, _ = run_cli(capsys, "verify", "--gadget", "rigid", "--periods", "1")
     assert code == 0
     assert "straight_unique_optimal: true" in out
+
+
+@pytest.mark.parametrize("extra", [("--assign", "x=true"), ("single_clause.layout",)],
+                         ids=["assign", "layout"])
+def test_verify_gadget_rejects_instance_arguments(capsys, extra):
+    # Rejected before any file is read, so the layout path need not exist.
+    code, out, err = run_cli(capsys, "verify", "--gadget", "flex", *extra)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --gadget checks an isolated gadget; it takes no layout file or --assign\n"
 
 
 def test_sequence_from_file(capsys, tmp_path):

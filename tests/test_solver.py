@@ -137,12 +137,34 @@ def test_node_count_is_the_walk_tree_size(length):
     assert report.nodes_explored == tree_size
 
 
+@pytest.mark.parametrize("seq, count, expected", [
+    ("GGGGGGGCCCCCCC", True, (6, 1, 2364, 1382)),
+    ("GCGGCCGCGGCCGC", True, (6, 1, 2237, 1342)),
+    ("GGCGCCGCGGCGC", False, (5, None, 618, 384)),
+    ("GAUCGGAUCCGAUC", True, (6, 1, 1980, 1189)),
+    ("AUGCAUGCAUGCAU", False, (6, None, 833, 509)),
+    ("GGAUXCCAUGXXCG", True, (3, 65, 94716, 55825)),
+    ("UAGCCGAUUAGCGC", False, (3, None, 23223, 14499)),
+])
+def test_search_shape_is_pinned(seq, count, expected):
+    # Above the partition threshold: these node and prune counts pin the
+    # search itself, so a change to the bound or the visiting order shows.
+    report = exact_solve(parse_chain(seq), count=count)
+    got = (report.optimal_score, report.optimal_count, report.nodes_explored, report.pruned)
+    assert got == expected
+
+
 def test_worker_determinism_small():
     chains = [gc_block_chain(7), parse_chain("GCGCGCGCGCGCG"), parse_chain("GGAAUUCCGGAAUU")]
     for chain in chains:
         one = exact_solve(chain, workers=1)
         two = exact_solve(chain, workers=2)
         assert one == two
+    score_only = parse_chain("GAUCCGAUGCAUGC")
+    one = exact_solve(score_only, workers=1, count=False)
+    two = exact_solve(score_only, workers=2, count=False)
+    assert one.optimal_count is None
+    assert one == two
 
 
 def test_score_only_mode():

@@ -3,14 +3,28 @@ import pytest
 from wcfold.walks import (
     canonical_moves,
     enumerate_walk_points,
-    is_straight,
     moves_to_points,
-    orbit_weight,
     points_to_moves,
 )
 
 # Self-avoiding walk counts on the square lattice, by number of steps.
 SAW_COUNTS = {1: 4, 2: 12, 3: 36, 4: 100, 5: 284, 6: 780, 7: 2172}
+
+
+def is_straight(points) -> bool:
+    """True when all points lie on one lattice line."""
+    pts = list(points)
+    if len(pts) <= 2:
+        return True
+    xs = {p[0] for p in pts}
+    ys = {p[1] for p in pts}
+    return len(xs) == 1 or len(ys) == 1
+
+
+def orbit_weight(points) -> int:
+    """Number of distinct walks (up to translation) in this walk's symmetry
+    orbit: 4 for straight walks, 8 otherwise."""
+    return 4 if is_straight(points) else 8
 
 
 def test_single_node():

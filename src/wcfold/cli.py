@@ -137,8 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--assign", default=None, metavar="x=true,y=false")
     p_verify.add_argument("--gadget", choices=("flex", "rigid"), default=None,
                           help="check straightness of an isolated gadget instead")
-    p_verify.add_argument("--periods", type=int, default=1)
-    p_verify.add_argument("--workers", type=int, default=1)
+    # Gadget-only; None tells an omitted flag (1 for --gadget) from a given one.
+    p_verify.add_argument("--periods", type=int, default=None)
+    p_verify.add_argument("--workers", type=int, default=None)
     _common_flags(p_verify)
 
     p_render = sub.add_parser("render", help="draw a folding")
@@ -300,21 +301,25 @@ def _cmd_reduce(args) -> ResultDocument:
 
 
 def _cmd_verify(args) -> ResultDocument:
-    _require_at_least("--workers", args.workers, 1)
     doc = ResultDocument(command="verify")
     if args.gadget:
         if args.layout is not None or args.assign is not None:
             raise _UsageError("--gadget checks an isolated gadget; it takes no layout file "
                               "or --assign")
-        ok = reduction.verify_straightness(args.gadget, args.periods, workers=args.workers)
+        periods = 1 if args.periods is None else args.periods
+        workers = 1 if args.workers is None else args.workers
+        _require_at_least("--workers", workers, 1)
+        ok = reduction.verify_straightness(args.gadget, periods, workers=workers)
         doc.inputs["gadget"] = args.gadget
-        doc.inputs["periods"] = args.periods
+        doc.inputs["periods"] = periods
         doc.outputs["straight_unique_optimal"] = ok
         if not ok:
             raise _VerificationFailed(doc)
         return doc
     if not args.layout:
         raise _UsageError("verify needs a layout file or --gadget")
+    if args.periods is not None or args.workers is not None:
+        raise _UsageError("--periods/--workers apply only to --gadget")
     layout = reduction.load_layout(args.layout)
     instance = reduction.assemble(layout)
     assignment = _parse_assignment(args.assign or "")

@@ -14,6 +14,8 @@ All types here are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain as iter_chain, compress
+from operator import itemgetter, sub
 
 from .matching import maximum_bipartite_matching
 
@@ -100,19 +102,42 @@ class Folding:
         return iter(self.points)
 
 
+_UNIT_STEPS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
+
+
 def validate_folding(chain: Chain, points) -> Folding:
     """Check self-avoidance and unit steps, returning a Folding.
 
-    Raises FoldingValidationError with the first offending 1-based index:
-    the later of a repeated pair of points, or the point that is not one
-    unit step from its predecessor.
+    Coordinates are coerced with int().  Raises FoldingValidationError with
+    the first offending 1-based index: the later of a repeated pair of
+    points, or the point that is not one unit step from its predecessor.
     """
-    pts = tuple((int(x), int(y)) for x, y in points)
+    pts = tuple(points)
+    # int() leaves an int as it is, so points that are already pairs of
+    # ints skip the per-point coercion.
+    if not (
+        set(map(type, pts)) == {tuple}
+        and set(map(len, pts)) == {2}
+        and set(map(type, iter_chain.from_iterable(pts))) == {int}
+    ):
+        pts = tuple((int(x), int(y)) for x, y in pts)
     if len(pts) != len(chain):
         raise FoldingValidationError(
             f"folding has {len(pts)} points for a chain of length {len(chain)}",
             len(pts),
         )
+    # Whole-walk checks in C; the loop runs only to name the first fault.
+    xs = list(map(itemgetter(0), pts))
+    ys = list(map(itemgetter(1), pts))
+    steps = zip(map(sub, xs[1:], xs), map(sub, ys[1:], ys))
+    if len(set(pts)) != len(pts) or not _UNIT_STEPS.issuperset(steps):
+        _raise_first_fault(pts)
+    return Folding(pts)
+
+
+def _raise_first_fault(pts: tuple[Point, ...]) -> None:
+    """Raise FoldingValidationError for the first repeated point or
+    non-unit step in pts, scanning in chain order."""
     seen: dict[Point, int] = {}
     prev = None
     for i, pt in enumerate(pts, start=1):
@@ -128,24 +153,25 @@ def validate_folding(chain: Chain, points) -> Folding:
                     f"non-unit step at index {i} (from {prev} to {pt})", i
                 )
         prev = pt
-    return Folding(pts)
 
 
 def contact_graph(chain: Chain, folding: Folding) -> list[ContactEdge]:
     """Edges (i, j), i < j, between complementary, lattice-adjacent,
-    non-consecutive nodes, sorted by (i, j)."""
-    index_of = {pt: i for i, pt in enumerate(folding.points, start=1)}
+    non-consecutive nodes, sorted by (i, j).
+
+    Nodes whose base has no complement (X) are never indexed or visited;
+    the only pass over them is the C-level filter that leaves them out.
+    """
     seq = chain.seq
+    keep = list(map(COMPLEMENT.__contains__, seq))
+    index_of = dict(zip(compress(folding.points, keep), compress(range(1, len(seq) + 1), keep)))
     edges: list[ContactEdge] = []
-    for i, (x, y) in enumerate(folding.points, start=1):
+    for (x, y), i in index_of.items():
+        want = COMPLEMENT[seq[i - 1]]
         # Checking only the +x and +y neighbours visits each adjacency once.
         for nb in ((x + 1, y), (x, y + 1)):
             j = index_of.get(nb)
-            if j is None:
-                continue
-            if abs(i - j) < 2:
-                continue
-            if complementary(seq[i - 1], seq[j - 1]):
+            if j is not None and abs(i - j) >= 2 and seq[j - 1] == want:
                 edges.append((i, j) if i < j else (j, i))
     edges.sort()
     return edges

@@ -265,6 +265,22 @@ def test_verify_gadget_rejects_instance_arguments(capsys, extra):
     assert err == "error: --gadget checks an isolated gadget; it takes no layout file or --assign\n"
 
 
+def test_verify_gadget_defaults_to_one_period(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--gadget", "rigid")
+    assert code == 0
+    assert "input.periods: 1" in out
+
+
+@pytest.mark.parametrize("extra", [("--periods", "7"), ("--workers", "3"), ("--workers", "1")],
+                         ids=["periods", "workers", "workers-1"])
+def test_verify_layout_rejects_gadget_flags(capsys, extra):
+    # Rejected before any file is read, so the layout path need not exist.
+    code, out, err = run_cli(capsys, "verify", "single_clause.layout", "--assign", "x=true", *extra)
+    assert code == 1
+    assert out == ""
+    assert err == "error: --periods/--workers apply only to --gadget\n"
+
+
 def test_sequence_from_file(capsys, tmp_path):
     seq = tmp_path / "chain.txt"
     seq.write_text("gggg cccc\n")

@@ -5,15 +5,18 @@ from hypothesis import given, settings, strategies as st
 
 from wcfold.matching import maximum_bipartite_matching
 from wcfold.model import (
+    BASES,
     Chain,
     ChainParseError,
     Folding,
     FoldingValidationError,
+    complementary,
     contact_graph,
     parse_chain,
     score,
     validate_folding,
 )
+from wcfold.reduction import assemble, bundled_layout_text, parse_layout
 from wcfold.walks import enumerate_walk_points
 
 from conftest import brute_force_matching_size
@@ -192,3 +195,132 @@ def test_score_matches_brute_force_small(length):
             folding = Folding(pts)
             edges = contact_graph(chain, folding)
             assert score(chain, folding)[0] == brute_force_matching_size(edges)
+
+
+@st.composite
+def self_avoiding_walks(draw):
+    """A self-avoiding walk of 1 to 60 points from the origin, grown one
+    free neighbour at a time; a walk that traps itself ends early."""
+    length = draw(st.integers(min_value=1, max_value=60))
+    pts = [(0, 0)]
+    used = {(0, 0)}
+    while len(pts) < length:
+        x, y = pts[-1]
+        free = [p for p in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1)) if p not in used]
+        if not free:
+            break
+        pts.append(draw(st.sampled_from(free)))
+        used.add(pts[-1])
+    return pts
+
+
+def all_pairs_contacts(chain, folding):
+    """The contact graph by an O(L^2) scan of every pair of nodes that can
+    bond with some base (complementary() rules X out)."""
+    seq, pts = chain.seq, folding.points
+    nodes = [i for i, a in enumerate(seq) if any(complementary(a, b) for b in BASES)]
+    return [
+        (i + 1, j + 1)
+        for n, i in enumerate(nodes)
+        for j in nodes[n + 1:]
+        if j - i >= 2
+        and abs(pts[i][0] - pts[j][0]) + abs(pts[i][1] - pts[j][1]) == 1
+        and complementary(seq[i], seq[j])
+    ]
+
+
+@given(self_avoiding_walks(), st.sampled_from(["GC", "GCAU", "GCAUX", "GX", "X"]), st.data())
+@settings(max_examples=200, deadline=None)
+def test_contact_graph_matches_all_pairs_scan(pts, alphabet, data):
+    seq = data.draw(st.text(alphabet=alphabet, min_size=len(pts), max_size=len(pts)))
+    chain = Chain(seq)
+    folding = validate_folding(chain, pts)
+    edges = contact_graph(chain, folding)
+    assert edges == sorted(edges)
+    assert edges == all_pairs_contacts(chain, folding)
+
+
+@pytest.mark.parametrize("name", ["single_clause", "straight_zipper"])
+def test_contact_graph_matches_all_pairs_scan_on_fixtures(name):
+    layout = parse_layout(bundled_layout_text(name))
+    inst = assemble(layout)
+    for values in itertools.product((True, False), repeat=len(layout.variables)):
+        folding = inst.intended_folding(dict(zip(layout.variables, values)))
+        edges = contact_graph(inst.chain, folding)
+        assert edges == sorted(edges)
+        assert edges == all_pairs_contacts(inst.chain, folding)
+
+
+def loop_validate_folding(chain, points):
+    """validate_folding as one Python loop over every point: the reference
+    for which error, message and index the set-based checks must give."""
+    pts = tuple((int(x), int(y)) for x, y in points)
+    if len(pts) != len(chain):
+        raise FoldingValidationError(
+            f"folding has {len(pts)} points for a chain of length {len(chain)}",
+            len(pts),
+        )
+    seen = {}
+    prev = None
+    for i, pt in enumerate(pts, start=1):
+        if pt in seen:
+            raise FoldingValidationError(
+                f"self-intersection at index {i} (point {pt} already used at index {seen[pt]})",
+                i,
+            )
+        seen[pt] = i
+        if prev is not None:
+            if abs(pt[0] - prev[0]) + abs(pt[1] - prev[1]) != 1:
+                raise FoldingValidationError(
+                    f"non-unit step at index {i} (from {prev} to {pt})", i
+                )
+        prev = pt
+    return Folding(pts)
+
+
+def _outcome(validate, chain, points):
+    try:
+        return validate(chain, points)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "index", None)
+
+
+@given(self_avoiding_walks(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_validate_folding_errors_match_loop(pts, data):
+    chain = Chain("G" * len(pts))
+    fault = data.draw(st.sampled_from(["none", "repeat", "jump", "diagonal", "length"]))
+    if fault == "length":
+        pts = pts + [(pts[-1][0] + 1, pts[-1][1])] if data.draw(st.booleans()) else pts[:-1]
+    elif fault != "none" and len(pts) > 1:
+        j = data.draw(st.integers(min_value=1, max_value=len(pts) - 1))
+        x, y = pts[j - 1]
+        if fault == "repeat":
+            pts[j] = pts[data.draw(st.integers(min_value=0, max_value=j - 1))]
+        elif fault == "jump":
+            dx, dy = data.draw(st.sampled_from([(2, 0), (0, -3), (5, 7), (0, 0)]))
+            pts[j] = (x + dx, y + dy)
+        else:
+            pts[j] = (x + data.draw(st.sampled_from([1, -1])), y + data.draw(st.sampled_from([1, -1])))
+    form = data.draw(st.sampled_from(["tuples", "lists", "floats"]))
+    if form == "lists":
+        pts = [list(p) for p in pts]
+    elif form == "floats":
+        pts = [(float(x), float(y)) for x, y in pts]
+    assert _outcome(validate_folding, chain, pts) == _outcome(loop_validate_folding, chain, pts)
+
+
+@pytest.mark.parametrize("points", [
+    [(0, 0), (1, 0, 0)],
+    [(0, 0), (1,)],
+    [(0, 0), 1],
+    [(0, 0), ("a", 0)],
+    [(0, 0), (True, False)],
+    [(0, 0), (0, 1)],
+], ids=["triple", "single", "scalar", "text", "bools", "valid"])
+def test_validate_folding_coercion_matches_loop(points):
+    chain = Chain("GC")
+    assert _outcome(validate_folding, chain, points) == _outcome(loop_validate_folding, chain, points)
+    # A one-shot iterator is read once, like a list.
+    assert (_outcome(validate_folding, chain, iter(points))
+            == _outcome(loop_validate_folding, chain, iter(points)))

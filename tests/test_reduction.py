@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -199,6 +201,59 @@ def test_generated_block_layouts(text):
         bonds, _ = verify_instance(inst, {"x": value})
         # x alone satisfies the one clause, and then the bonds are exactly k.
         assert bonds == inst.k if value else bonds < inst.k
+
+
+# Flex periods per block, and the (a, b, r) shapes whose last flex run
+# c = BLOCK_PERIODS - a - b - 2r lies in 8..14, as in the benchmark's layouts.
+BLOCK_PERIODS = 21
+BLOCK_SHAPES = [
+    (a, b, r)
+    for a in range(2, 5) for b in range(2, 6) for r in range(1, 4)
+    if 8 <= BLOCK_PERIODS - a - b - 2 * r <= 14
+]
+
+
+@st.composite
+def two_block_layouts(draw):
+    """Two chained variable/clause blocks x0/c0 and x1/c1, optionally with a
+    fixed right turn between them.
+
+    The tails run north from the route start, and a right turn sends block 1
+    south, away from them.  Block 0 can bend up to BLOCK_PERIODS - a0
+    periods north, so after the turn a flex run of BLOCK_PERIODS + 1 - a0 - a1
+    periods brings block 1's westward bend clear below it; that is the
+    shortest run that avoids a crossing under every assignment of every
+    shape here.
+    """
+    lines = ["spacing 164", "variable x0", "variable x1",
+             "clause c0 literals x0", "clause c1 literals x1"]
+    shapes = [draw(st.sampled_from(BLOCK_SHAPES)) for _ in range(2)]
+    turn = draw(st.booleans())
+    for i, (a, b, r) in enumerate(shapes):
+        side, other = draw(st.sampled_from([("left", "right"), ("right", "left")]))
+        lines += [f"segment flex {a}", f"turn u{i} variable x{i} true={side} partner=v{i}",
+                  f"segment flex {b}", f"segment rigid {r} clause=c{i}",
+                  f"segment flex {BLOCK_PERIODS - a - b - 2 * r}",
+                  f"turn v{i} variable x{i} true={other} partner=u{i}"]
+        if i == 0 and turn:
+            lines += [f"segment flex {draw(st.integers(1, 3))}", "turn f fixed right",
+                      f"segment flex {BLOCK_PERIODS + 1 - shapes[0][0] - shapes[1][0]}"]
+    lines.append(f"segment flex {draw(st.integers(1, 3))}")
+    return "\n".join(lines) + "\n"
+
+
+@given(two_block_layouts())
+@settings(max_examples=10, deadline=None)
+def test_generated_two_block_layouts(text):
+    layout = parse_layout(text)
+    inst = assemble(layout)
+    assert inst.bondable == 2 * len(inst.zip_pairs) + 2 * inst.t
+    for values in itertools.product((True, False), repeat=2):
+        bonds, meets = verify_instance(inst, dict(zip(layout.variables, values)))
+        # Each clause has one literal, so only the all-true assignment
+        # satisfies them, and then the bonds are exactly k.
+        assert bonds == inst.k if all(values) else bonds < inst.k
+        assert meets == all(values)
 
 
 @pytest.mark.parametrize("periods", ["0", "-2"])

@@ -179,13 +179,9 @@ def contact_graph(chain: Chain, folding: Folding) -> list[ContactEdge]:
 
 @dataclass(frozen=True)
 class BondSet:
-    """A matching on the contact graph; its size is the folding's bond count."""
+    """A matching on the contact graph; len(edges) is the folding's bond count."""
 
     edges: frozenset[ContactEdge]
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
 
 
 def score(chain: Chain, folding: Folding) -> tuple[int, BondSet]:

@@ -3,9 +3,8 @@
 from importlib import resources
 
 from .assemble import ReductionInstance, assemble, verify_instance
-from .gadgets import flex_strands, hairpinned_gadget_chain, rigid_strands
+from .gadgets import hairpinned_gadget_chain, verify_straightness
 from .layout import LayoutError, SatLayout, Segment, Turn, load_layout, parse_layout
-from .verify import verify_straightness
 
 __all__ = [
     "LayoutError",
@@ -15,11 +14,9 @@ __all__ = [
     "Turn",
     "assemble",
     "bundled_layout_text",
-    "flex_strands",
     "hairpinned_gadget_chain",
     "load_layout",
     "parse_layout",
-    "rigid_strands",
     "verify_instance",
     "verify_straightness",
 ]

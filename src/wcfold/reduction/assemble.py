@@ -227,18 +227,6 @@ class ReductionInstance:
     def build_assignment(self) -> dict[str, bool]:
         return {v: True for v in self.layout.variables}
 
-    @property
-    def outbound_range(self) -> tuple[int, int]:
-        """1-based molecule index range (inclusive) of the outbound strand."""
-        start = self.tail_length + 1
-        return start, start + self.outbound_length - 1
-
-    @property
-    def returning_range(self) -> tuple[int, int]:
-        """1-based molecule index range (inclusive) of the returning strand."""
-        start = self.tail_length + self.outbound_length + 1
-        return start, start + self.returning_length - 1
-
 
 def _choose_filler_bases(tracer: _Tracer) -> None:
     """Give spacer cells bases from their strand's palette that cannot bond
@@ -331,9 +319,8 @@ def assemble(layout: SatLayout) -> ReductionInstance:
         end_tail_cells=_tail_cells(tail_length, b_x, b_y + 1),
     )
 
-    folding = instance.intended_folding(instance.build_assignment)
-    bonds = score(chain, folding)[0]
-    if bonds < k:
+    bonds, meets = verify_instance(instance, instance.build_assignment)
+    if not meets:
         raise AssertionError(
             f"intended folding scores {bonds}, below the target k = {k}"
         )

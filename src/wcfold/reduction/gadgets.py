@@ -1,4 +1,4 @@
-"""Sequence gadgets for the SAT-to-folding compiler.
+"""Sequence gadgets for the SAT-to-folding compiler, and their check.
 
 A compiled instance is one RNA molecule that traces a routed corridor twice:
 an outbound strand carrying only C and A bases and a returning strand
@@ -7,42 +7,54 @@ a 4-cycle pattern (bendable: a two-base alignment shift lands back on the
 same pattern phase) or an 8-cycle pattern (rigid: a shift misaligns the
 joint bases and costs bonds).  Non-bonding X tails protect the two chain
 ends.
+
+Isolated straight sections must fold straight: the hairpinned single-chain
+form of a flex or rigid double strand has the antiparallel zipper as its
+unique optimal folding.  verify_straightness checks this exactly with the
+solver at sizes where exhaustive search is feasible.
 """
 
 from __future__ import annotations
 
-from ..model import COMPLEMENT
+from ..bounds import hairpin_folding
+from ..model import COMPLEMENT, Chain
+from ..solver import exact_solve
+from ..walks import canonical_moves
 
 # The outbound strand's period for each segment kind; the returning strand
 # carries its complement.
 PERIODS = {"flex": "CCCA", "rigid": "CCCCCCCA"}
 
-
-def _strands(kind: str, periods: int) -> tuple[str, str]:
-    if periods < 1:
-        raise ValueError("periods must be at least 1")
-    outbound = PERIODS[kind] * periods
-    return outbound, "".join(COMPLEMENT[b] for b in outbound)
-
-
-def flex_strands(periods: int) -> tuple[str, str]:
-    """Bendable straight section: ("CCCA" * n, "GGGU" * n), laid antiparallel."""
-    return _strands("flex", periods)
-
-
-def rigid_strands(periods: int) -> tuple[str, str]:
-    """Rigid straight section: ("CCCCCCCA" * n, "GGGGGGGU" * n)."""
-    return _strands("rigid", periods)
+STRAIGHTNESS_LIMIT = 24
 
 
 def hairpinned_gadget_chain(kind: str, periods: int) -> str:
     """The single-chain form of an isolated double-strand section.
 
-    The outbound strand joined to the reversed returning strand, so the
-    straight antiparallel embedding is the hairpin that pairs position i
-    with position L + 1 - i.
+    The outbound strand PERIODS[kind] * periods joined to the reversed
+    returning strand (its complement), so the straight antiparallel
+    embedding is the hairpin that pairs position i with position L + 1 - i.
     """
     if kind not in PERIODS:
         raise ValueError(f"unknown gadget kind {kind!r}")
-    a, b = _strands(kind, periods)
-    return a + b[::-1]
+    if periods < 1:
+        raise ValueError("periods must be at least 1")
+    outbound = PERIODS[kind] * periods
+    return outbound + "".join(COMPLEMENT[b] for b in reversed(outbound))
+
+
+def verify_straightness(kind: str, periods: int, *, workers: int = 1) -> bool:
+    """True iff the straight embedding (the 2 x n hairpin) is the unique
+    optimal folding of the hairpinned gadget chain, established by
+    exhaustive search."""
+    seq = hairpinned_gadget_chain(kind, periods)
+    if len(seq) > STRAIGHTNESS_LIMIT:
+        raise ValueError(
+            f"{kind} x {periods} gives a {len(seq)}-base chain, beyond the "
+            f"exhaustive-search limit {STRAIGHTNESS_LIMIT}"
+        )
+    report = exact_solve(Chain(seq), max_length=STRAIGHTNESS_LIMIT, workers=workers)
+    if report.optimal_count != 1:
+        return False
+    straight = hairpin_folding(len(seq) // 2)
+    return canonical_moves(report.representatives[0].points) == canonical_moves(straight.points)

@@ -249,6 +249,47 @@ def test_reduce_and_verify(capsys, tmp_path):
     assert "verification failed" in err
 
 
+# The single_clause block twice, with a fixed right turn between the blocks.
+# assemble checks only the all-true route for crossings; with x1 false the
+# route crosses itself.
+CROSSING_LAYOUT = """
+spacing 164
+variable x0
+variable x1
+clause c0 literals x0
+clause c1 literals x1
+segment flex 2
+turn t1 variable x0 true=left partner=t2
+segment flex 4
+segment rigid 2 clause=c0
+segment flex 13
+turn t2 variable x0 true=right partner=t1
+segment flex 2
+turn f fixed right
+segment flex 4
+segment flex 2
+turn s1 variable x1 true=left partner=s2
+segment flex 4
+segment rigid 2 clause=c1
+segment flex 13
+turn s2 variable x1 true=right partner=s1
+segment flex 2
+"""
+
+
+def test_verify_reports_crossing_assignment(capsys, tmp_path):
+    layout = tmp_path / "crossing.layout"
+    layout.write_text(CROSSING_LAYOUT)
+    code, out, _ = run_cli(capsys, "reduce", str(layout))
+    assert code == 0
+    assert "output.k: 227" in out
+    code, out, err = run_cli(capsys, "verify", str(layout), "--assign", "x0=true,x1=false")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: route crosses itself: ")
+    assert err.count("\n") == 1
+
+
 def test_verify_gadget(capsys):
     code, out, _ = run_cli(capsys, "verify", "--gadget", "rigid", "--periods", "1")
     assert code == 0

@@ -20,16 +20,25 @@ from wcfold.reduction.assemble import _Tracer
 from conftest import ZERO_PERIOD_LAYOUT
 
 
-def test_hairpinned_gadget_chain():
+def test_flex_strands():
     # The outbound strand, then its complement (the returning strand) reversed.
     assert hairpinned_gadget_chain("flex", 1) == "CCCA" + "GGGU"[::-1]
     assert hairpinned_gadget_chain("flex", 3) == "CCCACCCACCCA" + "GGGUGGGUGGGU"[::-1]
+    with pytest.raises(ValueError, match="periods must be at least 1"):
+        hairpinned_gadget_chain("flex", 0)
+
+
+def test_rigid_strands():
     assert hairpinned_gadget_chain("rigid", 1) == "CCCCCCCA" + "GGGGGGGU"[::-1]
     assert hairpinned_gadget_chain("rigid", 3) == "CCCCCCCA" * 3 + ("GGGGGGGU" * 3)[::-1]
     assert len(hairpinned_gadget_chain("rigid", 2)) == 2 * 16
-    for kind in ("flex", "rigid"):
-        with pytest.raises(ValueError, match="periods must be at least 1"):
-            hairpinned_gadget_chain(kind, 0)
+    with pytest.raises(ValueError, match="periods must be at least 1"):
+        hairpinned_gadget_chain("rigid", 0)
+
+
+def test_hairpinned_gadget_chain():
+    assert hairpinned_gadget_chain("flex", 1) == "CCCAUGGG"
+    assert hairpinned_gadget_chain("rigid", 1) == "CCCCCCCAUGGGGGGG"
     with pytest.raises(ValueError, match="unknown gadget kind 'loop'"):
         hairpinned_gadget_chain("loop", 1)
 

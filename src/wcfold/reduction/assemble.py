@@ -61,15 +61,10 @@ def _step(cell: Point, heading: Point) -> Point:
     return cell[0] + heading[0], cell[1] + heading[1]
 
 
-@dataclass
-class _Emission:
-    cell: Point
-    base: str | None  # None marks a spacer until _choose_filler_bases fills it
-
-
 class _Tracer:
     """One pass over the route for one assignment: the cells and bases of
-    both strands, the zip pairs and the bases each variable turn strands."""
+    both strands as (cell, base) records, base None for a spacer, and the
+    zip pairs as (outbound, returning) record indices."""
 
     def __init__(self, layout: SatLayout, directions: dict[str, bool]):
         self.layout = layout
@@ -77,10 +72,9 @@ class _Tracer:
         self.pos = (0, 0)
         self.heading = (1, 0)
         self.drawn = dict.fromkeys(PERIODS, 0)  # bases drawn from each pattern
-        self.a: list[_Emission] = []
-        self.b: list[_Emission] = []
+        self.a: list[tuple[Point, str | None]] = []
+        self.b: list[tuple[Point, str | None]] = []
         self.zips: list[tuple[int, int]] = []
-        self.unbound: dict[str, list[tuple[str, int]]] = {}
 
     def _next_base(self, kind: str) -> str:
         period = PERIODS[kind]
@@ -88,17 +82,12 @@ class _Tracer:
         self.drawn[kind] += 1
         return base
 
-    def _emit(self, strand: str, cell: Point, base: str | None = None) -> tuple[str, int]:
-        emissions = self.a if strand == "a" else self.b
-        emissions.append(_Emission(cell, base))
-        return strand, len(emissions) - 1
-
     def _zip(self, cell: Point, heading: Point, kind: str) -> None:
         """A route cell and its partner one cell left of travel, zipped."""
         base = self._next_base(kind)
-        _, ai = self._emit("a", cell, base)
-        _, bi = self._emit("b", _step(cell, _LEFT[heading]), COMPLEMENT[base])
-        self.zips.append((ai, bi))
+        self.zips.append((len(self.a), len(self.b)))
+        self.a.append((cell, base))
+        self.b.append((_step(cell, _LEFT[heading]), COMPLEMENT[base]))
 
     def _straight(self, kind: str) -> None:
         self.pos = _step(self.pos, self.heading)
@@ -114,30 +103,27 @@ class _Tracer:
                 self._turn(elem)
         # The molecule turnaround: one spacer on each strand, chain-joined.
         a_tip = _step(self.pos, self.heading)
-        self._emit("a", a_tip)
-        self._emit("b", _step(a_tip, _LEFT[self.heading]))
+        self.a.append((a_tip, None))
+        self.b.append((_step(a_tip, _LEFT[self.heading]), None))
 
     def _turn(self, turn: Turn) -> None:
         """Bend the corridor.  Either direction leaves two cells unpartnered:
         on a variable turn they hold pattern bases (its cost), on a fixed
         turn spacers."""
-        variable = turn.kind == "variable"
+        variable = turn.variable is not None
+        realized = turn.direction
         if variable:
-            want = self.directions.get(turn.variable)
-            if want is None:
-                raise LayoutError(f"assignment missing variable {turn.variable}")
-            realized = turn.true_direction if want else _opposite(turn.true_direction)
+            if not self.directions[turn.variable]:
+                realized = _opposite(realized)
             self._slide(turn)
-        else:
-            realized = turn.direction
         h = self.heading
         new_h = _LEFT[h] if realized == "left" else _RIGHT[h]
         corner = _step(self.pos, h)
         post = _step(corner, new_h)
         if realized == "left":
             # The inner track pinches: the corner and the cell after it.
-            stranded = [self._emit("a", cell, self._next_base("flex") if variable else None)
-                        for cell in (corner, post)]
+            for cell in (corner, post):
+                self.a.append((cell, self._next_base("flex") if variable else None))
         else:
             # The outer track spends the corner diagonal and its flank.  On a
             # variable turn their bases pair two cells back along the
@@ -146,11 +132,9 @@ class _Tracer:
             self._zip(corner, h, "flex")
             diag = _step(_step(corner, _LEFT[h]), h)
             flank = _step(corner, h)
-            stranded = [self._emit("b", cell, COMPLEMENT[self.a[back].base] if variable else None)
-                        for cell, back in ((diag, -4), (flank, -3))]
+            for cell, back in ((diag, -4), (flank, -3)):
+                self.b.append((cell, COMPLEMENT[self.a[back][1]] if variable else None))
             self._zip(post, new_h, "flex")
-        if variable:
-            self.unbound[turn.ident] = stranded
         self.pos = post
         self.heading = new_h
 
@@ -162,7 +146,7 @@ class _Tracer:
         phase, so the slide is zero or one cell; the corridor may turn at
         either position.
         """
-        if (self.drawn["flex"] % 2 == 1) != (turn.true_direction == "right"):
+        if (self.drawn["flex"] % 2 == 1) != (turn.direction == "right"):
             self._straight("flex")
 
 
@@ -182,7 +166,6 @@ class ReductionInstance:
     bondable: int
     tail_length: int
     layout: SatLayout
-    unbound_by_turn: dict[str, tuple[int, ...]]  # molecule indices per turn
     zip_pairs: tuple[tuple[int, int], ...]       # molecule index pairs
     outbound_length: int
     returning_length: int
@@ -214,8 +197,8 @@ class ReductionInstance:
                     "variable turn pairs are inconsistent"
                 )
             cells = list(self.lead_tail_cells)
-            cells.extend(e.cell for e in tracer.a)
-            cells.extend(e.cell for e in reversed(tracer.b))
+            cells.extend(cell for cell, _ in tracer.a)
+            cells.extend(cell for cell, _ in reversed(tracer.b))
             cells.extend(self.end_tail_cells)
             try:
                 self._foldings[key] = validate_folding(self.chain, cells)
@@ -228,28 +211,25 @@ class ReductionInstance:
         return {v: True for v in self.layout.variables}
 
 
-def _choose_filler_bases(tracer: _Tracer) -> None:
-    """Give spacer cells bases from their strand's palette that cannot bond
-    with any geometric neighbour, so they stay structural."""
-    occupied = {emission.cell: emission for emission in tracer.a + tracer.b}
-    for emissions, palette in ((tracer.a, ("C", "A")), (tracer.b, ("G", "U"))):
-        for emission in emissions:
-            if emission.base is not None:
+def _choose_filler_bases(tracer: _Tracer) -> dict[Point, str]:
+    """The base of every traced cell.  Spacer cells get bases from their
+    strand's palette that cannot bond with any geometric neighbour, so they
+    stay structural; each choice is seen by the spacers filled after it."""
+    bases = dict(tracer.a + tracer.b)
+    for records, palette in ((tracer.a, ("C", "A")), (tracer.b, ("G", "U"))):
+        for cell, base in records:
+            if base is not None:
                 continue
-            x, y = emission.cell
-            neighbour_bases = {
-                occupied[nb].base
-                for nb in ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
-                if nb in occupied
-            }
-            for base in palette:
-                if COMPLEMENT[base] not in neighbour_bases:
-                    emission.base = base
+            x, y = cell
+            around = ((x + 1, y), (x - 1, y), (x, y + 1), (x, y - 1))
+            neighbour_bases = {bases.get(nb) for nb in around}
+            for filler in palette:
+                if COMPLEMENT[filler] not in neighbour_bases:
+                    bases[cell] = filler
                     break
             else:
-                raise AssertionError(
-                    f"no safe spacer base at {emission.cell}; gadget geometry broken"
-                )
+                raise AssertionError(f"no safe spacer base at {cell}; gadget geometry broken")
+    return bases
 
 
 def assemble(layout: SatLayout) -> ReductionInstance:
@@ -262,37 +242,25 @@ def assemble(layout: SatLayout) -> ReductionInstance:
     directions = {v: True for v in layout.variables}
     tracer = _Tracer(layout, directions)
     tracer.run()
-    pattern_nodes = sum(e.base is not None for e in tracer.a + tracer.b)
-    _choose_filler_bases(tracer)
+    pattern_nodes = sum(base is not None for _, base in tracer.a + tracer.b)
+    bases = _choose_filler_bases(tracer)
 
-    n_nontail = len(tracer.a) + len(tracer.b)
-    tail_required = math.ceil((n_nontail / 2) ** 2)
+    a_len, b_len = len(tracer.a), len(tracer.b)
+    tail_required = math.ceil(((a_len + b_len) / 2) ** 2)
     tail_length = tail_required + tail_required % 2
-    (a_x, a_y), (b_x, b_y) = tracer.a[0].cell, tracer.b[0].cell
+    (a_x, a_y), (b_x, b_y) = tracer.a[0][0], tracer.b[0][0]
 
     seq = (
         "X" * tail_length
-        + "".join(e.base for e in tracer.a)
-        + "".join(e.base for e in reversed(tracer.b))
+        + "".join(bases[cell] for cell, _ in tracer.a)
+        + "".join(bases[cell] for cell, _ in reversed(tracer.b))
         + "X" * tail_length
     )
     chain = Chain(seq)
 
-    # Molecule indexing: tails, then outbound, then returning (reversed).
-    a_off = tail_length
-    b_len = len(tracer.b)
-
-    def a_mol(i: int) -> int:
-        return a_off + i + 1
-
-    def b_mol(i: int) -> int:
-        return a_off + len(tracer.a) + (b_len - i)
-
-    zip_pairs = tuple((a_mol(ai), b_mol(bi)) for ai, bi in tracer.zips)
-    unbound = {
-        ident: tuple(sorted(a_mol(i) if strand == "a" else b_mol(i) for strand, i in nodes))
-        for ident, nodes in tracer.unbound.items()
-    }
+    # 1-based molecule indices: tail, outbound, returning (reversed), tail.
+    zip_pairs = tuple((tail_length + 1 + ai, tail_length + a_len + b_len - bi)
+                      for ai, bi in tracer.zips)
 
     t = layout.turn_count
     if pattern_nodes != 2 * len(tracer.zips) + 2 * t:
@@ -309,9 +277,8 @@ def assemble(layout: SatLayout) -> ReductionInstance:
         bondable=pattern_nodes,
         tail_length=tail_length,
         layout=layout,
-        unbound_by_turn=unbound,
         zip_pairs=zip_pairs,
-        outbound_length=len(tracer.a),
+        outbound_length=a_len,
         returning_length=b_len,
         # The tails end west of the route start and start north of the
         # returning strand's last cell.

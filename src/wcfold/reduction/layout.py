@@ -54,11 +54,13 @@ class Segment:
 @dataclass(frozen=True)
 class Turn:
     ident: str
-    kind: str               # "fixed" | "variable"
-    direction: str | None = None   # fixed turns: "left" | "right"
-    variable: str | None = None    # variable turns
-    true_direction: str | None = None
+    direction: str                 # "left" | "right"; a variable turn's bend when true
+    variable: str | None = None    # set exactly on variable turns
     partner: str | None = None
+
+    def __post_init__(self):
+        if self.direction not in ("left", "right"):
+            raise LayoutError(f"turn {self.ident} must bend left or right, got {self.direction!r}")
 
 
 @dataclass
@@ -70,7 +72,7 @@ class SatLayout:
 
     @property
     def variable_turns(self) -> list[Turn]:
-        return [e for e in self.elements if isinstance(e, Turn) and e.kind == "variable"]
+        return [e for e in self.elements if isinstance(e, Turn) and e.variable is not None]
 
     @property
     def turn_count(self) -> int:
@@ -79,6 +81,19 @@ class SatLayout:
 
 def _opposite(direction: str) -> str:
     return "right" if direction == "left" else "left"
+
+
+def _options(tokens: list[str], keys: tuple[str, ...]) -> dict[str, str]:
+    """The key=value tokens of a directive, each key one of `keys`, at most once."""
+    options: dict[str, str] = {}
+    for token in tokens:
+        key, eq, value = token.partition("=")
+        if not eq or key not in keys:
+            raise LayoutError(f"unknown option {token!r}")
+        if key in options:
+            raise LayoutError(f"option {key}= given more than once")
+        options[key] = value
+    return options
 
 
 def parse_layout(text: str) -> SatLayout:
@@ -96,12 +111,20 @@ def parse_layout(text: str) -> SatLayout:
         word = parts[0]
         try:
             if word == "spacing":
+                if spacing is not None:
+                    raise LayoutError("spacing declared more than once")
                 spacing = int(parts[1])
+                _options(parts[2:], ())
             elif word == "variable":
+                if parts[1] in variables:
+                    raise LayoutError(f"variable {parts[1]} declared more than once")
                 variables.append(parts[1])
+                _options(parts[2:], ())
             elif word == "clause":
                 if len(parts) < 4 or parts[2] != "literals":
                     raise LayoutError("clause needs: clause NAME literals V[,V...]")
+                if parts[1] in clauses:
+                    raise LayoutError(f"clause {parts[1]} declared more than once")
                 clauses[parts[1]] = tuple(" ".join(parts[3:]).replace(",", " ").split())
             elif word == "segment":
                 kind = parts[1]
@@ -109,41 +132,24 @@ def parse_layout(text: str) -> SatLayout:
                     raise LayoutError(f"unknown segment kind {kind!r}")
                 periods = int(parts[2])
                 if periods < 1:
-                    raise LayoutError(
-                        f"line {lineno}: segment needs at least 1 period, got {periods}")
-                clause = None
-                for opt in parts[3:]:
-                    key, _, value = opt.partition("=")
-                    if key == "clause":
-                        clause = value
-                    else:
-                        raise LayoutError(f"unknown segment option {opt!r}")
+                    raise LayoutError(f"segment needs at least 1 period, got {periods}")
+                clause = _options(parts[3:], ("clause",)).get("clause")
                 elements.append(Segment(kind=kind, periods=periods, clause=clause))
             elif word == "turn":
-                ident = parts[1]
-                kind = parts[2]
+                ident, kind = parts[1], parts[2]
                 if kind == "fixed":
-                    elements.append(Turn(ident=ident, kind="fixed", direction=parts[3]))
+                    _options(parts[4:], ())
+                    elements.append(Turn(ident, parts[3]))
                 elif kind == "variable":
-                    var = parts[3]
-                    opts = dict(p.split("=", 1) for p in parts[4:])
-                    elements.append(
-                        Turn(
-                            ident=ident,
-                            kind="variable",
-                            variable=var,
-                            true_direction=opts.get("true"),
-                            partner=opts.get("partner"),
-                        )
-                    )
+                    opts = _options(parts[4:], ("true", "partner"))
+                    elements.append(Turn(ident, opts.get("true"), parts[3], opts.get("partner")))
                 else:
                     raise LayoutError(f"unknown turn kind {kind!r}")
             else:
                 raise LayoutError(f"unknown directive {word!r}")
-        except LayoutError:
-            raise
-        except (IndexError, ValueError) as exc:
-            raise LayoutError(f"line {lineno}: cannot parse {raw!r} ({exc})") from None
+        except (IndexError, ValueError) as exc:  # LayoutError is a ValueError
+            reason = exc if isinstance(exc, LayoutError) else f"cannot parse {raw!r} ({exc})"
+            raise LayoutError(f"line {lineno}: {reason}") from None
 
     if spacing is None:
         raise LayoutError("layout must declare spacing")
@@ -178,16 +184,14 @@ def validate_layout(layout: SatLayout) -> None:
     for turn in layout.variable_turns:
         if turn.variable not in layout.variables:
             raise LayoutError(f"turn {turn.ident} uses undeclared variable {turn.variable}")
-        if turn.true_direction not in ("left", "right"):
-            raise LayoutError(f"turn {turn.ident} needs true=left or true=right")
         partner = turns.get(turn.partner or "")
-        if partner is None or partner.kind != "variable":
+        if partner is None or partner.variable is None:
             raise LayoutError(f"variable turn {turn.ident} has no partner turn")
         if partner.partner != turn.ident or partner.variable != turn.variable:
             raise LayoutError(
                 f"turns {turn.ident} and {turn.partner} are not a mutual pair"
             )
-        if partner.true_direction != _opposite(turn.true_direction):
+        if partner.direction != _opposite(turn.direction):
             raise LayoutError(
                 f"partner turns {turn.ident}/{partner.ident} must bend opposite ways"
             )
@@ -201,7 +205,7 @@ def validate_layout(layout: SatLayout) -> None:
     # clause coupling must sit strictly between the partnered turns of one
     # of its literals.
     for i, elem in enumerate(layout.elements):
-        if isinstance(elem, Turn) and elem.kind == "variable":
+        if isinstance(elem, Turn) and elem.variable is not None:
             before = layout.elements[i - 1] if i else None
             after = layout.elements[i + 1] if i + 1 < len(layout.elements) else None
             for nb in (before, after):
@@ -212,7 +216,7 @@ def validate_layout(layout: SatLayout) -> None:
 
     open_pairs: dict[str, str] = {}  # variable -> opening turn ident
     for elem in layout.elements:
-        if isinstance(elem, Turn) and elem.kind == "variable":
+        if isinstance(elem, Turn) and elem.variable is not None:
             if elem.variable in open_pairs:
                 del open_pairs[elem.variable]
             else:

@@ -500,6 +500,15 @@ def test_reduce_rejects_zero_period_segment(capsys, tmp_path):
     assert err == "error: line 6: segment needs at least 1 period, got 0\n"
 
 
+def test_reduce_rejects_misspelled_fixed_turn(capsys, tmp_path):
+    layout = tmp_path / "typo.layout"
+    layout.write_text("spacing 1\nsegment flex 2\nturn f1 fixed lfet\nsegment flex 2\n")
+    code, out, err = run_cli(capsys, "reduce", str(layout))
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 3: turn f1 must bend left or right, got 'lfet'\n"
+
+
 def test_render_rejects_mixed_folding_file(capsys, tmp_path):
     fold = tmp_path / "mixed.fold"
     fold.write_text("0 0\n1 0\nRU\n")

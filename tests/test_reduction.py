@@ -90,9 +90,18 @@ def test_variable_pair_shifts_and_restores(d1, d2):
 
 
 def test_variable_pair_costs_two_per_turn():
-    inst = _assemble_text(MINI_PAIR.format(d1="left", d2="right"))
+    layout = parse_layout(MINI_PAIR.format(d1="left", d2="right"))
+    inst = assemble(layout)
     assert inst.t == 2
-    assert all(len(v) == 2 for v in inst.unbound_by_turn.values())
+    for value in (True, False):
+        tracer = _Tracer(layout, {"v": value})
+        tracer.run()
+        # Either bend direction strands two pattern bases outside every zip pair.
+        zipped_a = {ai for ai, _ in tracer.zips}
+        zipped_b = {bi for _, bi in tracer.zips}
+        stranded = [i for i, (_, base) in enumerate(tracer.a) if base and i not in zipped_a]
+        stranded += [i for i, (_, base) in enumerate(tracer.b) if base and i not in zipped_b]
+        assert len(stranded) == 2 * inst.t
     assert inst.k == inst.bondable // 2 - 2
     bonds, meets = verify_instance(inst, {"v": True})
     assert bonds == inst.k and meets
@@ -213,7 +222,7 @@ def test_generated_block_layouts(text):
         assert (len(tracer.a), len(tracer.b)) == (inst.outbound_length, inst.returning_length)
         # The outbound strand is the same under every assignment; spacers
         # get their bases only when the molecule is built.
-        assert all(e.base in (None, base) for e, base in zip(tracer.a, outbound))
+        assert all(traced in (None, base) for (_, traced), base in zip(tracer.a, outbound))
         folding = inst.intended_folding({"x": value})
         validate_folding(inst.chain, folding.points)
         bonds, _ = verify_instance(inst, {"x": value})
@@ -223,7 +232,7 @@ def test_generated_block_layouts(text):
         # coupling too (see test_right_opening_pair_keeps_k).
         if value:
             assert bonds == inst.k
-        elif u.true_direction == "left":
+        elif u.direction == "left":
             assert bonds == inst.k - 2 * r
         else:
             assert bonds < inst.k
@@ -288,6 +297,43 @@ def test_segment_needs_a_period(periods):
     message = f"line 6: segment needs at least 1 period, got {periods}"
     with pytest.raises(LayoutError, match=message):
         parse_layout(text)
+
+
+BLOCK = """spacing 84
+variable x
+clause c1 literals x
+segment flex 2
+turn u variable x true=left partner=v
+segment flex 4
+segment rigid 2 clause=c1
+segment flex 13
+turn v variable x true=right partner=u
+segment flex 2
+"""
+
+
+@pytest.mark.parametrize("lineno,line,replaced,reason", [
+    (11, "turn f1 fixed lfet", 0, "turn f1 must bend left or right, got 'lfet'"),
+    (11, "turn f1 fixed left partner=zz", 0, "unknown option 'partner=zz'"),
+    (5, "turn u variable x true=left partner=v tru=right", 1, "unknown option 'tru=right'"),
+    (5, "turn u variable x true=left partner=v partner=w", 1, "option partner= given more than once"),
+    (5, "turn u variable x true=left partner=w partner=v", 1, "option partner= given more than once"),
+    (7, "segment rigid 2 clause=c1 clause=c2", 1, "option clause= given more than once"),
+    (7, "segment rigid 2 clause=c2 clause=c1", 1, "option clause= given more than once"),
+    (1, "spacing 84 90", 1, "unknown option '90'"),
+    (2, "spacing 90", 0, "spacing declared more than once"),
+    (2, "variable x y", 1, "unknown option 'y'"),
+    (3, "variable x", 0, "variable x declared more than once"),
+    (4, "clause c1 literals x", 0, "clause c1 declared more than once"),
+])
+def test_malformed_line_is_named(lineno, line, replaced, reason):
+    """Put `line` at `lineno` of BLOCK, in place of `replaced` lines."""
+    parse_layout(BLOCK)
+    lines = BLOCK.splitlines()
+    lines[lineno - 1:lineno - 1 + replaced] = [line]
+    with pytest.raises(LayoutError) as err:
+        parse_layout("\n".join(lines) + "\n")
+    assert str(err.value) == f"line {lineno}: {reason}"
 
 
 def test_spacing_gate():

@@ -126,13 +126,21 @@ def validate_folding(chain: Chain, points) -> Folding:
             f"folding has {len(pts)} points for a chain of length {len(chain)}",
             len(pts),
         )
-    # Whole-walk checks in C; the loop runs only to name the first fault.
+    if not _is_walk(pts):
+        _raise_first_fault(pts)
+    return Folding(pts)
+
+
+def _is_walk(pts: tuple[Point, ...]) -> bool:
+    """Whether pts reuses no point and moves one unit step at a time.
+
+    Whole-walk checks in C; _raise_first_fault's loop runs only to name
+    the first fault.
+    """
     xs = list(map(itemgetter(0), pts))
     ys = list(map(itemgetter(1), pts))
     steps = zip(map(sub, xs[1:], xs), map(sub, ys[1:], ys))
-    if len(set(pts)) != len(pts) or not _UNIT_STEPS.issuperset(steps):
-        _raise_first_fault(pts)
-    return Folding(pts)
+    return len(set(pts)) == len(pts) and _UNIT_STEPS.issuperset(steps)
 
 
 def _raise_first_fault(pts: tuple[Point, ...]) -> None:

@@ -47,9 +47,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
-from ..bounds import hairpin_folding
-from ..model import COMPLEMENT, Chain, Folding, Point, validate_folding, score
+from ..model import COMPLEMENT, Chain, Folding, Point, _is_walk, validate_folding, score
 from .gadgets import PERIODS
 from .layout import LayoutError, SatLayout, Segment, Turn, _opposite
 
@@ -151,9 +151,19 @@ class _Tracer:
 
 
 def _tail_cells(length: int, x: int, y: int) -> tuple[Point, ...]:
-    """An X tail: the 2 x (length/2) hairpin stood on end, running north up
-    column x from (x, y) and back down column x + 1."""
-    return tuple((x + dy, y + dx) for dx, dy in hairpin_folding(length // 2).points)
+    """An X tail: the 2 x (length/2) hairpin of bounds.hairpin_folding
+    stood on end, running north up column x from (x, y) and back down
+    column x + 1."""
+    up = range(y, y + length // 2)
+    return tuple(zip(repeat(x), up)) + tuple(zip(repeat(x + 1), reversed(up)))
+
+
+def _hits_tail(cells, tail: tuple[Point, ...]) -> bool:
+    """Whether any of cells lies in the rectangle that tail fills: two
+    columns from its first cell (x, y) up to row y + len(tail)/2 - 1."""
+    x0, y0 = tail[0]
+    y1 = y0 + len(tail) // 2
+    return any(x0 <= x <= x0 + 1 and y0 <= y < y1 for x, y in cells)
 
 
 @dataclass(frozen=True)
@@ -171,14 +181,22 @@ class ReductionInstance:
     returning_length: int
     lead_tail_cells: tuple[Point, ...] = field(repr=False)  # before the outbound strand
     end_tail_cells: tuple[Point, ...] = field(repr=False)   # after the returning strand
-    # Per-assignment foldings; tracing and validating one walks every tail cell.
+    # Per-assignment foldings.  Each is checked against the tails in closed
+    # form; assemble validates the building assignment's whole walk once.
     _foldings: dict[tuple, Folding] = field(default_factory=dict, compare=False, repr=False)
 
     def intended_folding(self, assignment: dict[str, bool]) -> Folding:
         """Trace the layout for an assignment and return the folding.
 
+        The tails are the same under every assignment, so only the route
+        is checked: as a walk from the lead tail's last cell to the end
+        tail's first, and against the rectangles the tails fill.  A route
+        that fails is re-checked as the whole molecule by validate_folding,
+        whose error names its first offending index.
+
         Raises LayoutError when the assignment leaves out a layout variable
-        or names one the layout does not declare.
+        or names one the layout does not declare, or when its route
+        crosses itself or a tail.
         """
         key = tuple(sorted(assignment.items()))
         if key not in self._foldings:
@@ -196,14 +214,18 @@ class ReductionInstance:
                     "assignment trace does not conserve strand lengths; "
                     "variable turn pairs are inconsistent"
                 )
-            cells = list(self.lead_tail_cells)
-            cells.extend(cell for cell, _ in tracer.a)
-            cells.extend(cell for cell, _ in reversed(tracer.b))
-            cells.extend(self.end_tail_cells)
-            try:
-                self._foldings[key] = validate_folding(self.chain, cells)
-            except ValueError as exc:
-                raise LayoutError(f"route crosses itself: {exc}") from exc
+            route = tuple(cell for cell, _ in tracer.a)
+            route += tuple(cell for cell, _ in reversed(tracer.b))
+            lead, end = self.lead_tail_cells, self.end_tail_cells
+            cells = lead + route + end
+            if (not _is_walk((lead[-1],) + route + (end[0],))
+                    or _hits_tail(route, lead) or _hits_tail(route, end)):
+                try:
+                    validate_folding(self.chain, cells)
+                except ValueError as exc:
+                    raise LayoutError(f"route crosses itself: {exc}") from exc
+                raise AssertionError("the route check rejected a valid walk")
+            self._foldings[key] = Folding(cells)
         return self._foldings[key]
 
     @property
@@ -237,7 +259,8 @@ def assemble(layout: SatLayout) -> ReductionInstance:
 
     Raises LayoutError for invalid layouts, including a route that crosses
     itself for the building assignment, and AssertionError when the
-    building assignment's intended folding falls short of k.
+    building assignment's intended folding falls short of k or fails the
+    whole-walk check that intended_folding's route check passed.
     """
     directions = {v: True for v in layout.variables}
     tracer = _Tracer(layout, directions)
@@ -286,8 +309,15 @@ def assemble(layout: SatLayout) -> ReductionInstance:
         end_tail_cells=_tail_cells(tail_length, b_x, b_y + 1),
     )
 
-    bonds, meets = verify_instance(instance, instance.build_assignment)
-    if not meets:
+    # The instance's one whole-walk validation: it proves the tails are
+    # walks, disjoint from each other, and cross-checks the route test.
+    folding = instance.intended_folding(instance.build_assignment)
+    try:
+        validate_folding(chain, folding.points)
+    except ValueError as exc:
+        raise AssertionError(f"the route check passed an invalid walk: {exc}") from exc
+    bonds = score(chain, folding)[0]
+    if bonds < k:
         raise AssertionError(
             f"intended folding scores {bonds}, below the target k = {k}"
         )

@@ -25,7 +25,8 @@ true directions, so the corridor heading and strand alignment are restored
 after the pair for every assignment.  A rigid segment tagged clause=NAME is
 that clause's coupling: it must sit between the partnered turns of one of
 the clause's literals, where only the satisfying bend direction keeps its
-8-cycle pattern aligned.
+8-cycle pattern aligned.  Every clause needs a coupling and every variable
+a turn pair.
 """
 
 from __future__ import annotations
@@ -234,3 +235,14 @@ def validate_layout(layout: SatLayout) -> None:
                 )
     if open_pairs:
         raise LayoutError(f"unclosed variable turn pair for {sorted(open_pairs)}")
+
+    # A clause without a coupling is not encoded in the molecule, so no
+    # assignment falsifies it; a variable without a turn pair changes nothing.
+    coupled = {e.clause for e in layout.elements if isinstance(e, Segment)}
+    for name in layout.clauses:
+        if name not in coupled:
+            raise LayoutError(f"clause {name} has no rigid coupling segment")
+    turned = {turn.variable for turn in layout.variable_turns}
+    for var in layout.variables:
+        if var not in turned:
+            raise LayoutError(f"variable {var} has no variable turn pair")

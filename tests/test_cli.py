@@ -286,8 +286,19 @@ def test_verify_reports_crossing_assignment(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", str(layout), "--assign", "x0=true,x1=false")
     assert code == 1
     assert out == ""
-    assert err.startswith("error: route crosses itself: ")
-    assert err.count("\n") == 1
+    # The whole-walk check's message, naming the first offending index.
+    assert err == ("error: route crosses itself: self-intersection at index 54435 "
+                   "(point (10, 60) already used at index 54361)\n")
+
+
+def test_verify_rejects_uncoupled_clause(capsys, tmp_path):
+    # Without a coupling, c2 is not in the molecule: y=false used to meet k.
+    layout = tmp_path / "uncoupled.layout"
+    layout.write_text(bundled_layout_text("single_clause") + "variable y\nclause c2 literals y\n")
+    code, out, err = run_cli(capsys, "verify", str(layout), "--assign", "x=true,y=false")
+    assert code == 1
+    assert out == ""
+    assert err == "error: clause c2 has no rigid coupling segment\n"
 
 
 def test_verify_gadget(capsys):

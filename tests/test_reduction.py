@@ -1,9 +1,11 @@
+import importlib
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wcfold.model import score, validate_folding
+from wcfold.bounds import hairpin_folding
+from wcfold.model import Chain, Folding, score, validate_folding
 from wcfold.reduction import (
     LayoutError,
     Segment,
@@ -15,7 +17,7 @@ from wcfold.reduction import (
     verify_instance,
     verify_straightness,
 )
-from wcfold.reduction.assemble import _Tracer
+from wcfold.reduction.assemble import ReductionInstance, _Tracer, _tail_cells
 
 from conftest import ZERO_PERIOD_LAYOUT
 
@@ -45,6 +47,27 @@ def test_hairpinned_gadget_chain():
 
 def _assemble_text(text):
     return assemble(parse_layout(text))
+
+
+def _route(layout, assignment):
+    """The route cells in molecule order: outbound, then returning."""
+    tracer = _Tracer(layout, assignment)
+    tracer.run()
+    return [cell for cell, _ in tracer.a] + [cell for cell, _ in reversed(tracer.b)]
+
+
+def _full_walk(inst, assignment):
+    """The assignment's whole molecule walk, checked the long way: every
+    cell of both tails and the route through validate_folding."""
+    cells = list(inst.lead_tail_cells) + _route(inst.layout, assignment) + list(inst.end_tail_cells)
+    return validate_folding(inst.chain, cells)
+
+
+def _full_walk_error(inst, assignment):
+    """The LayoutError text of a route that fails the whole-walk check."""
+    with pytest.raises(ValueError) as caught:
+        _full_walk(inst, assignment)
+    return f"route crosses itself: {caught.value}"
 
 
 MINI_TURN = """
@@ -224,7 +247,7 @@ def test_generated_block_layouts(text):
         # get their bases only when the molecule is built.
         assert all(traced in (None, base) for (_, traced), base in zip(tracer.a, outbound))
         folding = inst.intended_folding({"x": value})
-        validate_folding(inst.chain, folding.points)
+        assert folding.points == _full_walk(inst, {"x": value}).points
         bonds, _ = verify_instance(inst, {"x": value})
         # x alone satisfies the one clause, and then the bonds are exactly k.
         # Opened left, a false x loses exactly the rigid coupling's two
@@ -284,7 +307,9 @@ def test_generated_two_block_layouts(text):
     inst = assemble(layout)
     assert inst.bondable == 2 * len(inst.zip_pairs) + 2 * inst.t
     for values in itertools.product((True, False), repeat=2):
-        bonds, meets = verify_instance(inst, dict(zip(layout.variables, values)))
+        assignment = dict(zip(layout.variables, values))
+        assert inst.intended_folding(assignment).points == _full_walk(inst, assignment).points
+        bonds, meets = verify_instance(inst, assignment)
         # Each clause has one literal, so only the all-true assignment
         # satisfies them, and then the bonds are exactly k.
         assert bonds == inst.k if all(values) else bonds < inst.k
@@ -360,8 +385,7 @@ def test_mismatched_pair_directions():
         parse_layout(text)
 
 
-def test_crossing_route_rejected():
-    text = """
+CROSSING_ROUTE = """
 spacing 1
 segment flex 1
 turn f1 fixed left
@@ -371,8 +395,114 @@ segment flex 1
 turn f3 fixed left
 segment flex 2
 """
-    with pytest.raises(LayoutError, match="cross"):
-        assemble(parse_layout(text))
+
+# Two left turns bring the route back west across both tails' columns,
+# though the route alone is a valid walk.
+TAIL_HIT_ROUTE = """
+spacing 1
+segment flex 1
+turn f1 fixed left
+segment flex 1
+turn f2 fixed left
+segment flex 1
+"""
+
+
+# The module, not the function that wcfold.reduction exports under its name.
+assemble_module = importlib.import_module("wcfold.reduction.assemble")
+
+
+def _unchecked_instance(monkeypatch, text):
+    """The instance of a layout whose building route assemble rejects,
+    compiled without tracing that route."""
+    monkeypatch.setattr(ReductionInstance, "intended_folding", lambda self, a: Folding(()))
+    monkeypatch.setattr(assemble_module, "validate_folding", lambda chain, points: None)
+    monkeypatch.setattr(assemble_module, "score", lambda chain, folding: (len(chain), None))
+    inst = _assemble_text(text)
+    monkeypatch.undo()
+    return inst
+
+
+def _assert_rejected_as_full_walk(monkeypatch, text, message):
+    """assemble and intended_folding reject the route with the message of
+    the whole-walk check."""
+    inst = _unchecked_instance(monkeypatch, text)
+    assert _full_walk_error(inst, {}) == message
+    with pytest.raises(LayoutError) as caught:
+        inst.intended_folding({})
+    assert str(caught.value) == message
+    with pytest.raises(LayoutError) as caught:
+        _assemble_text(text)
+    assert str(caught.value) == message
+    return inst
+
+
+def test_crossing_route_rejected(monkeypatch):
+    _assert_rejected_as_full_walk(monkeypatch, CROSSING_ROUTE, (
+        "route crosses itself: self-intersection at index 644 "
+        "(point (-1, 6) already used at index 620)"))
+
+
+def test_tail_hit_route_rejected(monkeypatch):
+    inst = _assert_rejected_as_full_walk(monkeypatch, TAIL_HIT_ROUTE, (
+        "route crosses itself: self-intersection at index 274 "
+        "(point (-1, 6) already used at index 250)"))
+    # Only the tail rectangle test rejects this route.
+    route = _route(inst.layout, {})
+    walk = [inst.lead_tail_cells[-1]] + route + [inst.end_tail_cells[0]]
+    assert validate_folding(Chain("X" * len(walk)), walk)
+    assert assemble_module._hits_tail(route, inst.lead_tail_cells)
+    assert assemble_module._hits_tail(route, inst.end_tail_cells)
+
+
+# A fixed left turn before the block: with x false the route bends back
+# into the lead tail, with x true it stays clear.
+TAIL_HIT_ASSIGNMENT = """
+spacing 84
+variable x
+clause c1 literals x
+segment flex 2
+turn f0 fixed left
+segment flex 2
+turn u variable x true=right partner=v
+segment flex 3
+segment rigid 2 clause=c1
+segment flex 12
+turn v variable x true=left partner=u
+segment flex 2
+"""
+
+
+def test_assignment_route_into_tail_rejected():
+    inst = _assemble_text(TAIL_HIT_ASSIGNMENT)
+    message = ("route crosses itself: self-intersection at index 11694 "
+               "(point (-1, 10) already used at index 11654)")
+    assert _full_walk_error(inst, {"x": False}) == message
+    with pytest.raises(LayoutError) as caught:
+        inst.intended_folding({"x": False})
+    assert str(caught.value) == message
+
+
+def test_route_check_rejecting_a_valid_walk_is_internal(monkeypatch):
+    inst = _assemble_text(bundled_layout_text("single_clause"))
+    monkeypatch.setattr(assemble_module, "_hits_tail", lambda cells, tail: True)
+    with pytest.raises(AssertionError, match="rejected a valid walk"):
+        inst.intended_folding({"x": False})
+
+
+def test_assemble_cross_checks_the_route_test(monkeypatch):
+    # A route test that misses the tail leaves the whole-walk check to catch it.
+    monkeypatch.setattr(assemble_module, "_hits_tail", lambda cells, tail: False)
+    with pytest.raises(AssertionError, match="route check passed an invalid walk: "
+                       "self-intersection at index 274"):
+        _assemble_text(TAIL_HIT_ROUTE)
+
+
+@pytest.mark.parametrize("length", [4, 6, 10, 626])
+@pytest.mark.parametrize("x,y", [(0, 0), (-2, 0), (3, -7)])
+def test_tail_cells_are_the_transposed_hairpin(length, x, y):
+    hairpin = hairpin_folding(length // 2).points
+    assert _tail_cells(length, x, y) == tuple((x + dy, y + dx) for dx, dy in hairpin)
 
 
 def test_clause_coupling_must_be_inside_pair():
@@ -390,6 +520,21 @@ segment flex 2
 """
     with pytest.raises(LayoutError, match="coupling"):
         parse_layout(text)
+
+
+UNCOUPLED = bundled_layout_text("single_clause") + "variable y\nclause c2 literals y\n"
+
+
+@pytest.mark.parametrize("text,reason", [
+    (UNCOUPLED, "clause c2 has no rigid coupling segment"),
+    (bundled_layout_text("single_clause") + "variable y\n", "variable y has no variable turn pair"),
+    (MINI_PAIR.format(d1="left", d2="right") + "clause c1 literals v\n",
+     "clause c1 has no rigid coupling segment"),
+])
+def test_unencoded_clause_or_variable_rejected(text, reason):
+    with pytest.raises(LayoutError) as caught:
+        parse_layout(text)
+    assert str(caught.value) == reason
 
 
 def test_variable_turn_needs_flex_flanks():

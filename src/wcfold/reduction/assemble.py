@@ -8,8 +8,8 @@ molecule is
 
     X-tail + outbound strand + turnaround + returning strand + X-tail
 
-with both tails anchored at the route start and the turnaround at its far
-end.
+with the turnaround at the route's far end and both tails fixed
+rectangles anchored at the route start, which every layout shares.
 
 Turn mechanics (the returning strand sits left of travel):
 
@@ -46,7 +46,7 @@ intended folding of the building (all-true) assignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 
 from ..model import COMPLEMENT, Chain, Folding, Point, _is_walk, validate_folding, score
@@ -66,10 +66,12 @@ class _Tracer:
     both strands as (cell, base) records, base None for a spacer, and the
     zip pairs as (outbound, returning) record indices."""
 
+    START = (0, 0)  # every trace starts here heading east
+
     def __init__(self, layout: SatLayout, directions: dict[str, bool]):
         self.layout = layout
         self.directions = directions
-        self.pos = (0, 0)
+        self.pos = self.START
         self.heading = (1, 0)
         self.drawn = dict.fromkeys(PERIODS, 0)  # bases drawn from each pattern
         self.a: list[tuple[Point, str | None]] = []
@@ -158,17 +160,29 @@ def _tail_cells(length: int, x: int, y: int) -> tuple[Point, ...]:
     return tuple(zip(repeat(x), up)) + tuple(zip(repeat(x + 1), reversed(up)))
 
 
-def _hits_tail(cells, tail: tuple[Point, ...]) -> bool:
-    """Whether any of cells lies in the rectangle that tail fills: two
-    columns from its first cell (x, y) up to row y + len(tail)/2 - 1."""
-    x0, y0 = tail[0]
-    y1 = y0 + len(tail) // 2
-    return any(x0 <= x <= x0 + 1 and y0 <= y < y1 for x, y in cells)
+# The X tails' first cells.  The lead tail ends west of the route start
+# (x, y); the end tail starts north of the returning strand's end (x, y + 1).
+_LEAD_TAIL = (_Tracer.START[0] - 2, _Tracer.START[1])
+_END_TAIL = (_Tracer.START[0], _Tracer.START[1] + 2)
+
+
+def _with_tails(route: tuple[Point, ...], tail_length: int) -> tuple[Point, ...]:
+    """The whole molecule's cells: lead tail, route, end tail."""
+    return _tail_cells(tail_length, *_LEAD_TAIL) + route + _tail_cells(tail_length, *_END_TAIL)
+
+
+def _hits_tail(cells, tail_length: int) -> bool:
+    """Whether any of cells lies in the rectangle that either tail fills:
+    two columns from its first cell (x, y) up to row y + tail_length/2 - 1."""
+    rows = tail_length // 2
+    return any(x0 <= x <= x0 + 1 and y0 <= y < y0 + rows
+               for x0, y0 in (_LEAD_TAIL, _END_TAIL) for x, y in cells)
 
 
 @dataclass(frozen=True)
 class ReductionInstance:
-    """A compiled decision instance: find a folding with at least k bonds."""
+    """A compiled decision instance: find a folding with at least k bonds.
+    It holds no per-assignment state; tail_length alone fixes the tails."""
 
     chain: Chain
     k: int
@@ -179,54 +193,49 @@ class ReductionInstance:
     zip_pairs: tuple[tuple[int, int], ...]       # molecule index pairs
     outbound_length: int
     returning_length: int
-    lead_tail_cells: tuple[Point, ...] = field(repr=False)  # before the outbound strand
-    end_tail_cells: tuple[Point, ...] = field(repr=False)   # after the returning strand
-    # Per-assignment foldings.  Each is checked against the tails in closed
-    # form; assemble validates the building assignment's whole walk once.
-    _foldings: dict[tuple, Folding] = field(default_factory=dict, compare=False, repr=False)
+
+    def _checked_route(self, assignment: dict[str, bool]) -> tuple[Point, ...]:
+        """The assignment's route cells, outbound then returning, traced and
+        checked as intended_folding describes."""
+        missing = [v for v in self.layout.variables if v not in assignment]
+        if missing:
+            raise LayoutError(f"assignment missing variables {missing}")
+        unknown = sorted(set(assignment) - set(self.layout.variables))
+        if unknown:
+            raise LayoutError(f"assignment names unknown variables {unknown}")
+        directions = {v: bool(assignment[v]) for v in self.layout.variables}
+        tracer = _Tracer(self.layout, directions)
+        tracer.run()
+        if len(tracer.a) != self.outbound_length or len(tracer.b) != self.returning_length:
+            raise LayoutError(
+                "assignment trace does not conserve strand lengths; "
+                "variable turn pairs are inconsistent"
+            )
+        route = tuple(cell for cell, _ in tracer.a)
+        route += tuple(cell for cell, _ in reversed(tracer.b))
+        lead_end = (_LEAD_TAIL[0] + 1, _LEAD_TAIL[1])
+        if not _is_walk((lead_end,) + route + (_END_TAIL,)) or _hits_tail(route, self.tail_length):
+            try:
+                validate_folding(self.chain, _with_tails(route, self.tail_length))
+            except ValueError as exc:
+                raise LayoutError(f"route crosses itself: {exc}") from exc
+            raise AssertionError("the route check rejected a valid walk")
+        return route
 
     def intended_folding(self, assignment: dict[str, bool]) -> Folding:
-        """Trace the layout for an assignment and return the folding.
+        """The assignment's folding: lead tail, route, end tail.
 
-        The tails are the same under every assignment, so only the route
-        is checked: as a walk from the lead tail's last cell to the end
-        tail's first, and against the rectangles the tails fill.  A route
-        that fails is re-checked as the whole molecule by validate_folding,
-        whose error names its first offending index.
+        The tails are fixed rectangles anchored at the route start, so only
+        the route is checked: as a walk from the lead tail's last cell to
+        the end tail's first, and against the rectangles the tails fill.
+        A route that fails is re-checked as the whole molecule by
+        validate_folding, whose error names its first offending index.
 
         Raises LayoutError when the assignment leaves out a layout variable
         or names one the layout does not declare, or when its route
         crosses itself or a tail.
         """
-        key = tuple(sorted(assignment.items()))
-        if key not in self._foldings:
-            missing = [v for v in self.layout.variables if v not in assignment]
-            if missing:
-                raise LayoutError(f"assignment missing variables {missing}")
-            unknown = sorted(set(assignment) - set(self.layout.variables))
-            if unknown:
-                raise LayoutError(f"assignment names unknown variables {unknown}")
-            directions = {v: bool(assignment[v]) for v in self.layout.variables}
-            tracer = _Tracer(self.layout, directions)
-            tracer.run()
-            if len(tracer.a) != self.outbound_length or len(tracer.b) != self.returning_length:
-                raise LayoutError(
-                    "assignment trace does not conserve strand lengths; "
-                    "variable turn pairs are inconsistent"
-                )
-            route = tuple(cell for cell, _ in tracer.a)
-            route += tuple(cell for cell, _ in reversed(tracer.b))
-            lead, end = self.lead_tail_cells, self.end_tail_cells
-            cells = lead + route + end
-            if (not _is_walk((lead[-1],) + route + (end[0],))
-                    or _hits_tail(route, lead) or _hits_tail(route, end)):
-                try:
-                    validate_folding(self.chain, cells)
-                except ValueError as exc:
-                    raise LayoutError(f"route crosses itself: {exc}") from exc
-                raise AssertionError("the route check rejected a valid walk")
-            self._foldings[key] = Folding(cells)
-        return self._foldings[key]
+        return Folding(_with_tails(self._checked_route(assignment), self.tail_length))
 
     @property
     def build_assignment(self) -> dict[str, bool]:
@@ -259,8 +268,8 @@ def assemble(layout: SatLayout) -> ReductionInstance:
 
     Raises LayoutError for invalid layouts, including a route that crosses
     itself for the building assignment, and AssertionError when the
-    building assignment's intended folding falls short of k or fails the
-    whole-walk check that intended_folding's route check passed.
+    building assignment's intended folding falls short of k.  The route
+    check is the only check of the folding's geometry.
     """
     directions = {v: True for v in layout.variables}
     tracer = _Tracer(layout, directions)
@@ -271,7 +280,6 @@ def assemble(layout: SatLayout) -> ReductionInstance:
     a_len, b_len = len(tracer.a), len(tracer.b)
     tail_required = math.ceil(((a_len + b_len) / 2) ** 2)
     tail_length = tail_required + tail_required % 2
-    (a_x, a_y), (b_x, b_y) = tracer.a[0][0], tracer.b[0][0]
 
     seq = (
         "X" * tail_length
@@ -303,20 +311,8 @@ def assemble(layout: SatLayout) -> ReductionInstance:
         zip_pairs=zip_pairs,
         outbound_length=a_len,
         returning_length=b_len,
-        # The tails end west of the route start and start north of the
-        # returning strand's last cell.
-        lead_tail_cells=_tail_cells(tail_length, a_x - 2, a_y),
-        end_tail_cells=_tail_cells(tail_length, b_x, b_y + 1),
     )
-
-    # The instance's one whole-walk validation: it proves the tails are
-    # walks, disjoint from each other, and cross-checks the route test.
-    folding = instance.intended_folding(instance.build_assignment)
-    try:
-        validate_folding(chain, folding.points)
-    except ValueError as exc:
-        raise AssertionError(f"the route check passed an invalid walk: {exc}") from exc
-    bonds = score(chain, folding)[0]
+    bonds = verify_instance(instance, instance.build_assignment)[0]
     if bonds < k:
         raise AssertionError(
             f"intended folding scores {bonds}, below the target k = {k}"
@@ -325,7 +321,10 @@ def assemble(layout: SatLayout) -> ReductionInstance:
 
 
 def verify_instance(instance: ReductionInstance, assignment: dict[str, bool]) -> tuple[int, bool]:
-    """Recount the bonds of the assignment's intended folding against k."""
-    folding = instance.intended_folding(assignment)
-    bonds = score(instance.chain, folding)[0]
+    """Recount the bonds of the assignment's intended folding against k.
+    Only the route is scored: X bonds with nothing, and the route's slice
+    of the chain keeps chain adjacency, so the count is the molecule's."""
+    route = instance._checked_route(assignment)
+    start = instance.tail_length
+    bonds = score(Chain(instance.chain.seq[start:start + len(route)]), Folding(route))[0]
     return bonds, bonds >= instance.k

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcfold.bounds import hairpin_folding
-from wcfold.model import Chain, Folding, score, validate_folding
+from wcfold.model import Chain, score, validate_folding
 from wcfold.reduction import (
     LayoutError,
     Segment,
@@ -17,7 +17,7 @@ from wcfold.reduction import (
     verify_instance,
     verify_straightness,
 )
-from wcfold.reduction.assemble import ReductionInstance, _Tracer, _tail_cells
+from wcfold.reduction.assemble import _Tracer, _tail_cells
 
 from conftest import ZERO_PERIOD_LAYOUT
 
@@ -56,11 +56,28 @@ def _route(layout, assignment):
     return [cell for cell, _ in tracer.a] + [cell for cell, _ in reversed(tracer.b)]
 
 
+def _tails(length):
+    """The lead and end X tails: the lead one ends west of the route start
+    (0, 0), the end one starts north of the returning strand's end (0, 1)."""
+    return _tail_cells(length, -2, 0), _tail_cells(length, 0, 2)
+
+
 def _full_walk(inst, assignment):
     """The assignment's whole molecule walk, checked the long way: every
     cell of both tails and the route through validate_folding."""
-    cells = list(inst.lead_tail_cells) + _route(inst.layout, assignment) + list(inst.end_tail_cells)
-    return validate_folding(inst.chain, cells)
+    lead, end = _tails(inst.tail_length)
+    return validate_folding(inst.chain, list(lead) + _route(inst.layout, assignment) + list(end))
+
+
+def _verify_against_full_walk(inst, assignment):
+    """verify_instance, checked against the whole molecule's walk: the
+    intended folding is that walk, and scoring only the route counts the
+    walk's bonds."""
+    walk = _full_walk(inst, assignment)
+    assert inst.intended_folding(assignment).points == walk.points
+    bonds, meets = verify_instance(inst, assignment)
+    assert bonds == score(inst.chain, walk)[0]
+    return bonds, meets
 
 
 def _full_walk_error(inst, assignment):
@@ -203,6 +220,7 @@ class TestSingleClauseFixture:
         for value in (True, False):
             folding = instance.intended_folding({"x": value})
             assert len(folding) == len(instance.chain)
+            _verify_against_full_walk(instance, {"x": value})
 
     def test_missing_assignment(self, instance):
         with pytest.raises(LayoutError):
@@ -246,9 +264,7 @@ def test_generated_block_layouts(text):
         # The outbound strand is the same under every assignment; spacers
         # get their bases only when the molecule is built.
         assert all(traced in (None, base) for (_, traced), base in zip(tracer.a, outbound))
-        folding = inst.intended_folding({"x": value})
-        assert folding.points == _full_walk(inst, {"x": value}).points
-        bonds, _ = verify_instance(inst, {"x": value})
+        bonds, _ = _verify_against_full_walk(inst, {"x": value})
         # x alone satisfies the one clause, and then the bonds are exactly k.
         # Opened left, a false x loses exactly the rigid coupling's two
         # joints per period; opened right, it can lose bonds outside the
@@ -308,8 +324,7 @@ def test_generated_two_block_layouts(text):
     assert inst.bondable == 2 * len(inst.zip_pairs) + 2 * inst.t
     for values in itertools.product((True, False), repeat=2):
         assignment = dict(zip(layout.variables, values))
-        assert inst.intended_folding(assignment).points == _full_walk(inst, assignment).points
-        bonds, meets = verify_instance(inst, assignment)
+        bonds, meets = _verify_against_full_walk(inst, assignment)
         # Each clause has one literal, so only the all-true assignment
         # satisfies them, and then the bonds are exactly k.
         assert bonds == inst.k if all(values) else bonds < inst.k
@@ -415,9 +430,7 @@ assemble_module = importlib.import_module("wcfold.reduction.assemble")
 def _unchecked_instance(monkeypatch, text):
     """The instance of a layout whose building route assemble rejects,
     compiled without tracing that route."""
-    monkeypatch.setattr(ReductionInstance, "intended_folding", lambda self, a: Folding(()))
-    monkeypatch.setattr(assemble_module, "validate_folding", lambda chain, points: None)
-    monkeypatch.setattr(assemble_module, "score", lambda chain, folding: (len(chain), None))
+    monkeypatch.setattr(assemble_module, "verify_instance", lambda inst, a: (inst.k, True))
     inst = _assemble_text(text)
     monkeypatch.undo()
     return inst
@@ -447,12 +460,13 @@ def test_tail_hit_route_rejected(monkeypatch):
     inst = _assert_rejected_as_full_walk(monkeypatch, TAIL_HIT_ROUTE, (
         "route crosses itself: self-intersection at index 274 "
         "(point (-1, 6) already used at index 250)"))
-    # Only the tail rectangle test rejects this route.
+    # Only the tail rectangle test rejects this route, and it hits both.
     route = _route(inst.layout, {})
-    walk = [inst.lead_tail_cells[-1]] + route + [inst.end_tail_cells[0]]
+    lead, end = _tails(inst.tail_length)
+    walk = [lead[-1]] + route + [end[0]]
     assert validate_folding(Chain("X" * len(walk)), walk)
-    assert assemble_module._hits_tail(route, inst.lead_tail_cells)
-    assert assemble_module._hits_tail(route, inst.end_tail_cells)
+    assert set(route) & set(lead) and set(route) & set(end)
+    assert assemble_module._hits_tail(route, inst.tail_length)
 
 
 # A fixed left turn before the block: with x false the route bends back
@@ -485,17 +499,37 @@ def test_assignment_route_into_tail_rejected():
 
 def test_route_check_rejecting_a_valid_walk_is_internal(monkeypatch):
     inst = _assemble_text(bundled_layout_text("single_clause"))
-    monkeypatch.setattr(assemble_module, "_hits_tail", lambda cells, tail: True)
+    monkeypatch.setattr(assemble_module, "_hits_tail", lambda cells, tail_length: True)
     with pytest.raises(AssertionError, match="rejected a valid walk"):
         inst.intended_folding({"x": False})
 
 
-def test_assemble_cross_checks_the_route_test(monkeypatch):
-    # A route test that misses the tail leaves the whole-walk check to catch it.
-    monkeypatch.setattr(assemble_module, "_hits_tail", lambda cells, tail: False)
-    with pytest.raises(AssertionError, match="route check passed an invalid walk: "
-                       "self-intersection at index 274"):
-        _assemble_text(TAIL_HIT_ROUTE)
+def test_whole_walk_check_catches_a_missed_tail_hit(monkeypatch):
+    # A route test that misses the tail passes the route, and only the
+    # tests' whole-walk check of the folding catches it.
+    monkeypatch.setattr(assemble_module, "_hits_tail", lambda cells, tail_length: False)
+    inst = _assemble_text(TAIL_HIT_ROUTE)
+    folding = inst.intended_folding({})
+    with pytest.raises(ValueError, match="self-intersection at index 274"):
+        validate_folding(inst.chain, folding.points)
+
+
+def test_tails_join_the_route_ends():
+    """The closed-form geometry that lets the route check stand alone."""
+    for length in (2, 4, 10, 626, 77842):
+        lead, end = _tails(length)
+        assert lead == _tail_cells(length, *assemble_module._LEAD_TAIL)
+        assert end == _tail_cells(length, *assemble_module._END_TAIL)
+        assert lead[-1] == (-1, 0) and end[0] == (0, 2)
+        assert not set(lead) & set(end)
+        # The rectangle test covers exactly the tails' cells.
+        around = [(x, y) for x in range(-3, 3) for y in range(-1, length // 2 + 3)]
+        assert [c for c in around if assemble_module._hits_tail([c], length)] == sorted(lead + end)
+    for name in ("single_clause", "straight_zipper"):
+        layout = parse_layout(bundled_layout_text(name))
+        tracer = _Tracer(layout, {v: True for v in layout.variables})
+        tracer.run()
+        assert (tracer.a[0][0], tracer.b[0][0]) == ((0, 0), (0, 1))
 
 
 @pytest.mark.parametrize("length", [4, 6, 10, 626])

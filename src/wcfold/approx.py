@@ -86,34 +86,27 @@ def relabel(chain: Chain) -> RelabeledChain:
     return _relabel_as(chain, BRANCH_EVENG_ODDC)
 
 
-def _pairing(left: tuple[int, ...], right: tuple[int, ...], take: int) -> list[tuple[int, int]]:
-    """Nested outside-in pairing of the first `take` left nodes with the
-    last `take` right nodes.  A chain-adjacent innermost pair cannot bond
-    (it only occurs when the fold edge sits exactly between the two), so it
-    is dropped; the sweep then prefers fold edges without the defect."""
-    pairs = [(left[t], right[len(right) - 1 - t]) for t in range(take)]
-    if pairs and pairs[-1][1] == pairs[-1][0] + 1:
-        pairs.pop()
-    return pairs
-
-
 def _sweep_role(
     left: tuple[int, ...], right: tuple[int, ...], length: int
-) -> tuple[int, int, int, int, int]:
+) -> tuple[int, int, int, int]:
     """One pass over the fold edges with `left`'s class on the left arm.
 
-    Returns (pairs, -|2f - L|, f, take, steps) for the best edge f; ties
-    keep the smaller edge.  As f moves right, a pointer into each position
-    list counts that class's nodes at or left of f, so take = min(#left <=
-    f, #right > f) needs no rescan.  _pairing drops the innermost pair when
-    it is chain-adjacent, which happens exactly when the take-th left node
-    is f and its partner is f + 1, so that is one lookup too.  steps counts
-    the fold edges visited plus the pointer advances.
+    Returns (pairs, -|2f - L|, f, steps) for the best edge f; ties keep the
+    smaller edge, and a chain with no fold edge (L < 2) gives edge 0 with
+    no pairs.  At edge f the nested outside-in pairing matches the first
+    take = min(#left <= f, #right > f) left nodes with the last take right
+    nodes, and its first `pairs` pairs are kept: all of them, or all but
+    the innermost when that one is chain-adjacent and cannot bond, which
+    happens exactly when the take-th left node is f and its partner f + 1.
+    As f moves right, a pointer into each position list counts that
+    class's nodes at or left of f, so neither needs a rescan.  steps
+    counts the fold edges visited plus the pointer advances.
     """
     n_left, n_right = len(left), len(right)
     i = j = 0  # nodes of each class at or left of the fold edge
     steps = 0
-    best_pairs, best_centre, best_f, best_take = -1, 0, 0, 0
+    # best_centre starts below every edge's -|2f - L|, so edge 1 is taken.
+    best_pairs, best_centre, best_f = 0, -length, 0
     for f in range(1, length):
         steps += 1
         while i < n_left and left[i] <= f:
@@ -123,15 +116,14 @@ def _sweep_role(
             j += 1
             steps += 1
         # min(i, n_right - j) inline: the call took a third of the pass
-        take = i if i < n_right - j else n_right - j
-        pairs = take
-        if take and left[take - 1] == f and right[n_right - take] == f + 1:
+        pairs = i if i < n_right - j else n_right - j
+        if pairs and left[pairs - 1] == f and right[n_right - pairs] == f + 1:
             pairs -= 1
         if pairs >= best_pairs:
             centre = -abs(2 * f - length)
             if pairs > best_pairs or centre > best_centre:
-                best_pairs, best_centre, best_f, best_take = pairs, centre, f, take
-    return best_pairs, best_centre, best_f, best_take, steps
+                best_pairs, best_centre, best_f = pairs, centre, f
+    return best_pairs, best_centre, best_f, steps
 
 
 def choose_fold_point(relabeled: RelabeledChain) -> FoldPlan:
@@ -141,25 +133,24 @@ def choose_fold_point(relabeled: RelabeledChain) -> FoldPlan:
     smaller edge, then odd-1 on the left arm.  Each role is one linear
     pass (_sweep_role); the keys (pairs, -|2f-L|, role preference) of the
     two roles never tie, so the better of the two per-role bests is the
-    best overall.  Pairs are built for the winning edge only.
+    best overall.  The matched pairs are the winning sweep's first `pairs`
+    outside-in pairs, built for the winning edge only.
     """
     length = len(relabeled.chain)
-    if length < 2:
-        return FoldPlan(fold_index=0, matched_pairs=(), branch=relabeled.branch)
     odd1 = relabeled.odd_one_positions
     even1 = relabeled.even_one_positions
 
-    best = None  # (key, fold edge, left nodes, right nodes, take)
+    best = None  # (key, fold edge, left nodes, right nodes)
     for left, right, pref in ((odd1, even1, 1), (even1, odd1, 0)):
-        pairs, centre, f, take, _ = _sweep_role(left, right, length)
+        pairs, centre, f, _ = _sweep_role(left, right, length)
         key = (pairs, centre, pref)
         if best is None or key > best[0]:
-            best = (key, f, left, right, take)
+            best = (key, f, left, right)
 
-    _, fold_index, left, right, take = best
+    (pairs, _, _), fold_index, left, right = best
     return FoldPlan(
         fold_index=fold_index,
-        matched_pairs=tuple(_pairing(left, right, take)),
+        matched_pairs=tuple((left[t], right[-1 - t]) for t in range(pairs)),
         branch=relabeled.branch,
     )
 

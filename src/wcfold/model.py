@@ -14,7 +14,7 @@ All types here are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain as iter_chain, compress
+from itertools import compress
 from operator import itemgetter, sub
 
 from .matching import maximum_bipartite_matching
@@ -108,19 +108,12 @@ _UNIT_STEPS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
 def validate_folding(chain: Chain, points) -> Folding:
     """Check self-avoidance and unit steps, returning a Folding.
 
-    Coordinates are coerced with int().  Raises FoldingValidationError with
-    the first offending 1-based index: the later of a repeated pair of
-    points, or the point that is not one unit step from its predecessor.
+    Every point is coerced to a pair of ints with int().  Raises
+    FoldingValidationError with the first offending 1-based index: the
+    later of a repeated pair of points, or the point that is not one unit
+    step from its predecessor.
     """
-    pts = tuple(points)
-    # int() leaves an int as it is, so points that are already pairs of
-    # ints skip the per-point coercion.
-    if not (
-        set(map(type, pts)) == {tuple}
-        and set(map(len, pts)) == {2}
-        and set(map(type, iter_chain.from_iterable(pts))) == {int}
-    ):
-        pts = tuple((int(x), int(y)) for x, y in pts)
+    pts = tuple((int(x), int(y)) for x, y in points)
     if len(pts) != len(chain):
         raise FoldingValidationError(
             f"folding has {len(pts)} points for a chain of length {len(chain)}",

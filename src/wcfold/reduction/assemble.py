@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
+from ..bounds import hairpin_folding
 from ..model import COMPLEMENT, Chain, Folding, Point, _is_walk, validate_folding, score
 from .gadgets import PERIODS
 from .layout import LayoutError, SatLayout, Segment, Turn, _opposite
@@ -153,11 +153,10 @@ class _Tracer:
 
 
 def _tail_cells(length: int, x: int, y: int) -> tuple[Point, ...]:
-    """An X tail: the 2 x (length/2) hairpin of bounds.hairpin_folding
-    stood on end, running north up column x from (x, y) and back down
-    column x + 1."""
-    up = range(y, y + length // 2)
-    return tuple(zip(repeat(x), up)) + tuple(zip(repeat(x + 1), reversed(up)))
+    """An X tail: the 2 x (length/2) hairpin of bounds.hairpin_folding,
+    transposed and moved to start at (x, y), so that it runs north up
+    column x and back down column x + 1.  length is even and at least 4."""
+    return tuple((x + dy, y + dx) for dx, dy in hairpin_folding(length // 2).points)
 
 
 # The X tails' first cells.  The lead tail ends west of the route start
@@ -245,9 +244,13 @@ class ReductionInstance:
 def _choose_filler_bases(tracer: _Tracer) -> dict[Point, str]:
     """The base of every traced cell.  Spacer cells get bases from their
     strand's palette that cannot bond with any geometric neighbour, so they
-    stay structural; each choice is seen by the spacers filled after it."""
+    stay structural; each choice is seen by the spacers filled after it.
+    The outbound palette is the gadget periods' bases in order of first
+    appearance (C, A), the returning palette their complements (G, U)."""
     bases = dict(tracer.a + tracer.b)
-    for records, palette in ((tracer.a, ("C", "A")), (tracer.b, ("G", "U"))):
+    outbound = tuple(dict.fromkeys("".join(PERIODS.values())))
+    returning = tuple(COMPLEMENT[b] for b in outbound)
+    for records, palette in ((tracer.a, outbound), (tracer.b, returning)):
         for cell, base in records:
             if base is not None:
                 continue

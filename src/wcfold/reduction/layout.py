@@ -64,12 +64,12 @@ class Turn:
             raise LayoutError(f"turn {self.ident} must bend left or right, got {self.direction!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SatLayout:
     spacing: int
-    variables: list[str] = field(default_factory=list)
+    variables: tuple[str, ...] = ()
     clauses: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    elements: list[Segment | Turn] = field(default_factory=list)
+    elements: tuple[Segment | Turn, ...] = ()
 
     @property
     def variable_turns(self) -> list[Turn]:
@@ -155,7 +155,7 @@ def parse_layout(text: str) -> SatLayout:
     if spacing is None:
         raise LayoutError("layout must declare spacing")
     layout = SatLayout(
-        spacing=spacing, variables=variables, clauses=clauses, elements=elements
+        spacing=spacing, variables=tuple(variables), clauses=clauses, elements=tuple(elements)
     )
     validate_layout(layout)
     return layout

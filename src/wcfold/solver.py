@@ -37,7 +37,7 @@ import concurrent.futures
 from dataclasses import dataclass
 
 from .bounds import hairpin_folding
-from .model import Chain, Folding, complementary, score, validate_folding
+from .model import Chain, Folding, Point, complementary, score, validate_folding
 from .walks import enumerate_walk_points
 
 DEFAULT_MAX_LENGTH = 20
@@ -93,15 +93,20 @@ def _seed_score(chain: Chain) -> int:
     return score(chain, validate_folding(chain, points))[0]
 
 
-def _solve_subtree(args) -> tuple[int, int, list[tuple], int, int]:
+def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     """Search one canonical-prefix subtree.
 
-    Returns (best, count_at_best, representative_cell_tuples, nodes, pruned).
+    prefix is the subtree's canonical prefix as lattice points.  The search
+    runs on a grid whose cell for point (x, y) is (L + x) * width + (L + y),
+    wide enough that no walk from the origin leaves it; the prefix is
+    encoded onto it here and the representatives decoded back to points.
+
+    Returns (best, count_at_best, representatives, nodes, pruned).
     Counting starts at the seed score with count 0: only walks that actually
     attain the best score are counted, so a seed equal to the optimum still
     yields the true count.
     """
-    seq, prefix, turned0, prune, counting, seed, rep_cap = args
+    seq, prefix, prune, counting, seed, rep_cap = args
     length = len(seq)
     width = 2 * length + 1
     dirs4 = (width, 1, -width, -1)
@@ -216,14 +221,11 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple], int, int]:
     def dfs(n: int, turned: bool):
         nonlocal best, count, nodes_explored, pruned
         if n == length:
-            s = mu
-            if s > best:
-                best = s
-                count = 1
-                del reps[:]
-                if rep_cap is None or rep_cap > 0:
-                    reps.append(tuple(pos[1:]))
-            elif s == best:
+            if mu >= best:
+                if mu > best:
+                    best = mu
+                    count = 0
+                    del reps[:]
                 count += 1
                 if rep_cap is None or len(reps) < rep_cap:
                     reps.append(tuple(pos[1:]))
@@ -261,31 +263,28 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple], int, int]:
             dfs(i, turned or d == 1 or d == -1)
             unplace(i, mark)
 
-    # Replay the prefix, then search below it.
-    marks = [place(k, cell) for k, cell in enumerate(prefix, start=1)]
-    dfs(len(prefix), turned0)
-    for k in range(len(prefix), 0, -1):
-        unplace(k, marks[k - 1])
+    # Replay the prefix, then search below it; a walk has turned once it
+    # leaves the x axis.
+    for k, (x, y) in enumerate(prefix, start=1):
+        place(k, (length + x) * width + (length + y))
+    dfs(len(prefix), any(y for _, y in prefix))
 
-    return best, count, reps, nodes_explored, pruned
+    decoded = [tuple((c // width - length, c % width - length) for c in cells)
+               for cells in reps]
+    return best, count, decoded, nodes_explored, pruned
 
 
-def _prefixes(length: int) -> tuple[list[tuple[tuple[int, ...], bool]], int]:
-    """Canonical prefixes (as grid cells) at the partition depth.
+def _prefixes(length: int) -> tuple[list[tuple[Point, ...]], int]:
+    """Canonical prefixes (as lattice points) at the partition depth.
 
-    Returns (jobs, prefix_nodes) where each job is (cells, turned) and
-    prefix_nodes counts the nodes of the prefix tree, one per placement the
-    prefixes make, so that nodes_explored counts every placement.
+    Returns (prefixes, prefix_nodes) where prefix_nodes counts the nodes of
+    the prefix tree, one per placement the prefixes make, so that
+    nodes_explored counts every placement.
     """
     depth = _PREFIX_NODES if length > _PARTITION_THRESHOLD else min(length, 2)
-    width = 2 * length + 1
-    jobs: list[tuple[tuple[int, ...], bool]] = []
-    nodes: set[tuple] = set()
-    for pts in enumerate_walk_points(depth):
-        cells = tuple((length + x) * width + (length + y) for x, y in pts)
-        jobs.append((cells, any(y != 0 for _, y in pts)))
-        nodes.update(pts[:d] for d in range(1, depth + 1))
-    return jobs, len(nodes)
+    prefixes = list(enumerate_walk_points(depth))
+    nodes = {pts[:d] for pts in prefixes for d in range(1, depth + 1)}
+    return prefixes, len(nodes)
 
 
 def exact_solve(
@@ -310,9 +309,8 @@ def exact_solve(
 
     seq = chain.seq
     seed = _seed_score(chain) if prune else 0
-    jobs, partition_nodes = _prefixes(length)
-    args = [(seq, cells, turned, prune, count, seed, representative_cap)
-            for cells, turned in jobs]
+    prefixes, partition_nodes = _prefixes(length)
+    args = [(seq, prefix, prune, count, seed, representative_cap) for prefix in prefixes]
 
     if workers > 1 and len(args) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
@@ -322,7 +320,7 @@ def exact_solve(
 
     best = max(r[0] for r in results)
     total_count = 0
-    rep_cells: list[tuple] = []
+    reps: list[Folding] = []
     nodes = partition_nodes
     pruned = 0
     for sub_best, sub_count, sub_reps, sub_nodes, sub_pruned in results:
@@ -330,19 +328,14 @@ def exact_solve(
         pruned += sub_pruned
         if sub_best == best:
             total_count += sub_count
-            for cells in sub_reps:
-                if representative_cap is None or len(rep_cells) < representative_cap:
-                    rep_cells.append(cells)
+            for points in sub_reps:
+                if representative_cap is None or len(reps) < representative_cap:
+                    reps.append(Folding(points))
 
-    width = 2 * length + 1
-    reps = tuple(
-        Folding(tuple((c // width - length, c % width - length) for c in cells))
-        for cells in rep_cells
-    )
     return SolveReport(
         optimal_score=best,
         optimal_count=total_count if count else None,
-        representatives=reps,
+        representatives=tuple(reps),
         nodes_explored=nodes,
         pruned=pruned,
     )

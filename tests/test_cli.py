@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from wcfold import approx
+from wcfold import approx, reduction
 from wcfold.approx import BRANCH_EVENG_ODDC, build_folding, plan_fold, relabel
 from wcfold.cli import main
 from wcfold.model import Chain
@@ -315,6 +315,38 @@ def test_verify_gadget_rejects_instance_arguments(capsys, extra):
     assert code == 1
     assert out == ""
     assert err == "error: --gadget checks an isolated gadget; it takes no layout file or --assign\n"
+
+
+def test_verify_gadget_not_straight_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(reduction, "verify_straightness", lambda kind, periods, workers: False)
+    code, out, err = run_cli(capsys, "verify", "--gadget", "flex")
+    assert code == 3
+    assert "output.straight_unique_optimal: false" in out
+    assert err == "verification failed\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("verify", "single_clause.layout", "--assign", "x=maybe"),
+     "bad assignment 'x=maybe'; use var=true or var=false"),
+    (("gen", "mixed", "4"), "gen mixed needs two numbers: m n"),
+    (("verify",), "verify needs a layout file or --gadget"),
+], ids=["assign-value", "gen-mixed-one-number", "verify-nothing"])
+def test_usage_error_paths(capsys, monkeypatch, tmp_path, argv, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "single_clause.layout").write_text(bundled_layout_text("single_clause"))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_gen_mixed_rejects_emit_folding(capsys, tmp_path):
+    fold = tmp_path / "f"
+    code, out, err = run_cli(capsys, "gen", "mixed", "4", "4", "--emit-folding", str(fold))
+    assert code == 1
+    assert out == ""
+    assert err == "error: --emit-folding applies to the sn family\n"
+    assert not fold.exists()
 
 
 def test_verify_gadget_defaults_to_one_period(capsys):

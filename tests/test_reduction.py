@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import itertools
 
@@ -365,6 +366,10 @@ segment flex 2
     (2, "variable x y", 1, "unknown option 'y'"),
     (3, "variable x", 0, "variable x declared more than once"),
     (4, "clause c1 literals x", 0, "clause c1 declared more than once"),
+    (3, "clause c1 x", 1, "clause needs: clause NAME literals V[,V...]"),
+    (4, "segment loop 2", 1, "unknown segment kind 'loop'"),
+    (5, "turn u sometimes x true=left partner=v", 1, "unknown turn kind 'sometimes'"),
+    (4, "wire 2", 0, "unknown directive 'wire'"),
 ])
 def test_malformed_line_is_named(lineno, line, replaced, reason):
     """Put `line` at `lineno` of BLOCK, in place of `replaced` lines."""
@@ -374,6 +379,34 @@ def test_malformed_line_is_named(lineno, line, replaced, reason):
     with pytest.raises(LayoutError) as err:
         parse_layout("\n".join(lines) + "\n")
     assert str(err.value) == f"line {lineno}: {reason}"
+
+
+@pytest.mark.parametrize("text,reason", [
+    (BLOCK.replace("spacing 84\n", ""), "layout must declare spacing"),
+    ("spacing 1\n", "layout has no route elements"),
+    ("spacing 1\nturn f fixed left\nsegment flex 2\n", "the route must start with a segment"),
+    (BLOCK + "turn u fixed left\nsegment flex 2\n", "turn identifiers must be unique"),
+    (BLOCK.replace("turn u variable x", "turn u variable y"),
+     "turn u uses undeclared variable y"),
+    (BLOCK.replace("partner=u", "partner=w"), "turns u and v are not a mutual pair"),
+    (BLOCK.replace("literals x", "literals x,y"), "clause c1 references undeclared variable y"),
+    (BLOCK.replace("segment rigid 2 clause=c1", "segment flex 2 clause=c1"),
+     "clause coupling for c1 must be rigid"),
+    (BLOCK.replace("clause=c1", "clause=c2"), "coupling references undeclared clause c2"),
+], ids=["no-spacing", "no-elements", "turn-first", "duplicate-turn", "turn-variable",
+        "not-mutual", "clause-variable", "flex-coupling", "coupling-clause"])
+def test_invalid_layout_message(text, reason):
+    """One fault in an otherwise valid layout, and the exact message."""
+    with pytest.raises(LayoutError) as caught:
+        parse_layout(text)
+    assert str(caught.value) == reason
+
+
+def test_layout_is_immutable():
+    layout = parse_layout(BLOCK)
+    assert isinstance(layout.variables, tuple) and isinstance(layout.elements, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layout.variables = ("y",)
 
 
 def test_spacing_gate():
@@ -516,7 +549,7 @@ def test_whole_walk_check_catches_a_missed_tail_hit(monkeypatch):
 
 def test_tails_join_the_route_ends():
     """The closed-form geometry that lets the route check stand alone."""
-    for length in (2, 4, 10, 626, 77842):
+    for length in (4, 10, 626, 77842):
         lead, end = _tails(length)
         assert lead == _tail_cells(length, *assemble_module._LEAD_TAIL)
         assert end == _tail_cells(length, *assemble_module._END_TAIL)

@@ -5,7 +5,9 @@ are emitted as a line-oriented key/value document (--format text, default)
 or JSON (--format structured); both are deterministic for fixed inputs and
 flags.  Wall-clock timing goes to stderr.  Exit codes: 0 success, 1 usage
 or parse error, 2 length-limit error, 3 verification failed, 4 file
-read/write error, 5 internal consistency check failed.
+read/write error, 5 internal consistency check failed.  Each failure prints
+one `error:` line on stderr; a failed verification still emits its document
+and its elapsed line first, then `error: verification failed`.
 """
 
 from __future__ import annotations
@@ -46,15 +48,7 @@ EXIT_INTERNAL = 5
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # exit 1 on usage errors, not argparse's 2
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _VerificationFailed(Exception):
-    pass
+        raise ValueError(message)
 
 
 def _read_sequence(arg: str) -> Chain:
@@ -68,19 +62,18 @@ def _read_sequence(arg: str) -> Chain:
     return parse_chain(arg)
 
 
-def _emit(doc: ResultDocument, args, elapsed_ms: float | None = None) -> None:
+def _emit(doc: ResultDocument, args, elapsed_ms: float) -> None:
     text = doc.render(args.format)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
-    if elapsed_ms is not None:
-        print(f"# elapsed {elapsed_ms:.1f} ms", file=sys.stderr)
+    print(f"# elapsed {elapsed_ms:.1f} ms", file=sys.stderr)
 
 
 def _require_at_least(flag: str, value: int, minimum: int) -> None:
     if value < minimum:
-        raise _UsageError(f"{flag} must be at least {minimum}, got {value}")
+        raise ValueError(f"{flag} must be at least {minimum}, got {value}")
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
@@ -158,9 +151,9 @@ def _parse_assignment(text: str) -> dict[str, bool]:
     for part in text.replace(",", " ").split():
         name, _, value = part.partition("=")
         if value.lower() not in ("true", "false", "1", "0"):
-            raise _UsageError(f"bad assignment {part!r}; use var=true or var=false")
+            raise ValueError(f"bad assignment {part!r}; use var=true or var=false")
         if name in assignment:
-            raise _UsageError(f"variable {name!r} assigned more than once in {text!r}")
+            raise ValueError(f"variable {name!r} assigned more than once in {text!r}")
         assignment[name] = value.lower() in ("true", "1")
     return assignment
 
@@ -169,7 +162,7 @@ def _assignment_tag(assignment: dict[str, bool]) -> str:
     return "_".join(f"{k}{'T' if v else 'F'}" for k, v in sorted(assignment.items())) or "empty"
 
 
-def _cmd_solve(args) -> ResultDocument:
+def _cmd_solve(args) -> tuple[ResultDocument | None, int]:
     _require_at_least("--workers", args.workers, 1)
     _require_at_least("--representatives", args.representatives, 0)
     chain = _read_sequence(args.sequence)
@@ -194,10 +187,10 @@ def _cmd_solve(args) -> ResultDocument:
     ]
     doc.diagnostics["nodes_explored"] = report.nodes_explored
     doc.diagnostics["pruned"] = report.pruned
-    return doc
+    return doc, EXIT_OK
 
 
-def _cmd_bound(args) -> ResultDocument:
+def _cmd_bound(args) -> tuple[ResultDocument | None, int]:
     chain = _read_sequence(args.sequence)
     census = bounds.parity_census(chain)
     doc = ResultDocument(command="bound")
@@ -216,18 +209,18 @@ def _cmd_bound(args) -> ResultDocument:
             doc.outputs[f"census_{key}"] = value
         if census.has_au:
             doc.outputs["parity_note"] = "includes the A/U extension terms"
-    return doc
+    return doc, EXIT_OK
 
 
-def _cmd_gen(args) -> ResultDocument:
+def _cmd_gen(args) -> tuple[ResultDocument | None, int]:
     if args.family == "mixed":
         if args.m is None:
-            raise _UsageError("gen mixed needs two numbers: m n")
+            raise ValueError("gen mixed needs two numbers: m n")
         # Positional order is `gen mixed M N`: M bases of G/C, N of A/U.
         chain = bounds.mixed_block_chain(args.n, args.m)
     else:
         if args.m is not None:
-            raise _UsageError(f"gen sn takes one number n, got an extra {args.m}")
+            raise ValueError(f"gen sn takes one number n, got an extra {args.m}")
         chain = bounds.gc_block_chain(args.n)
     doc = ResultDocument(command="gen")
     doc.inputs["family"] = args.family
@@ -240,15 +233,15 @@ def _cmd_gen(args) -> ResultDocument:
     doc.outputs["unique_folding_guaranteed"] = len(chain) // 2 > 3
     if args.emit_folding:
         if args.family != "sn":
-            raise _UsageError("--emit-folding applies to the sn family")
+            raise ValueError("--emit-folding applies to the sn family")
         folding = bounds.hairpin_folding(args.n)
         write_folding_file(args.emit_folding, folding, comment=f"hairpin n={args.n}")
         doc.outputs["folding_file"] = args.emit_folding
         doc.outputs["folding_score"] = score(chain, folding)[0]
-    return doc
+    return doc, EXIT_OK
 
 
-def _cmd_approx(args) -> ResultDocument:
+def _cmd_approx(args) -> tuple[ResultDocument | None, int]:
     chain = _read_sequence(args.sequence)
     plan = approx_mod.plan_fold(chain)
     folding, achieved = approx_mod.build_folding(chain, plan)
@@ -268,10 +261,10 @@ def _cmd_approx(args) -> ResultDocument:
     if args.folding_out:
         write_folding_file(args.folding_out, folding, comment=f"approx {chain.seq}")
         doc.outputs["folding_file"] = args.folding_out
-    return doc
+    return doc, EXIT_OK
 
 
-def _cmd_reduce(args) -> ResultDocument:
+def _cmd_reduce(args) -> tuple[ResultDocument | None, int]:
     layout = reduction.load_layout(args.layout)
     instance = reduction.assemble(layout)
     doc = ResultDocument(command="reduce")
@@ -297,15 +290,15 @@ def _cmd_reduce(args) -> ResultDocument:
             fold_path = Path(f"{args.out_prefix}.{tag}.fold")
             write_folding_file(fold_path, folding, comment=f"assignment {tag}")
             doc.outputs[f"folding_file_{tag}"] = str(fold_path)
-    return doc
+    return doc, EXIT_OK
 
 
-def _cmd_verify(args) -> ResultDocument:
+def _cmd_verify(args) -> tuple[ResultDocument | None, int]:
     doc = ResultDocument(command="verify")
     if args.gadget:
         if args.layout is not None or args.assign is not None:
-            raise _UsageError("--gadget checks an isolated gadget; it takes no layout file "
-                              "or --assign")
+            raise ValueError("--gadget checks an isolated gadget; it takes no layout file "
+                             "or --assign")
         periods = 1 if args.periods is None else args.periods
         workers = 1 if args.workers is None else args.workers
         _require_at_least("--workers", workers, 1)
@@ -313,13 +306,11 @@ def _cmd_verify(args) -> ResultDocument:
         doc.inputs["gadget"] = args.gadget
         doc.inputs["periods"] = periods
         doc.outputs["straight_unique_optimal"] = ok
-        if not ok:
-            raise _VerificationFailed(doc)
-        return doc
+        return doc, EXIT_OK if ok else EXIT_VERIFY
     if not args.layout:
-        raise _UsageError("verify needs a layout file or --gadget")
+        raise ValueError("verify needs a layout file or --gadget")
     if args.periods is not None or args.workers is not None:
-        raise _UsageError("--periods/--workers apply only to --gadget")
+        raise ValueError("--periods/--workers apply only to --gadget")
     layout = reduction.load_layout(args.layout)
     instance = reduction.assemble(layout)
     assignment = _parse_assignment(args.assign or "")
@@ -329,29 +320,25 @@ def _cmd_verify(args) -> ResultDocument:
     doc.outputs["k"] = instance.k
     doc.outputs["bonds"] = bonds
     doc.outputs["meets_k"] = meets
-    if not meets:
-        raise _VerificationFailed(doc)
-    return doc
+    return doc, EXIT_OK if meets else EXIT_VERIFY
 
 
-def _cmd_render(args) -> ResultDocument:
+def _cmd_render(args) -> tuple[ResultDocument | None, int]:
     chain = _read_sequence(args.sequence)
     points = read_folding_points(args.folding)
     folding = validate_folding(chain, points)
     size, witness = score(chain, folding)
     art = render(chain, folding, args.render, witness)
+    if not args.out:  # raw drawing to stdout; the document is suppressed
+        sys.stdout.write(art)
+        return None, EXIT_OK
+    Path(args.out).write_text(art)
     doc = ResultDocument(command="render")
     doc.inputs["sequence"] = chain.seq
     doc.outputs["bonds"] = size
-    if args.out:
-        Path(args.out).write_text(art)
-        doc.outputs["file"] = args.out
-        args.out = None  # the document itself goes to stdout
-    else:
-        # Raw drawing to stdout; the document is suppressed.
-        sys.stdout.write(art)
-        return None
-    return doc
+    doc.outputs["file"] = args.out
+    args.out = None  # the document itself goes to stdout
+    return doc, EXIT_OK
 
 
 _HANDLERS = {
@@ -367,37 +354,26 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     try:
-        return _run(argv)
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
+        doc, code = _HANDLERS[args.command](args)
+        if doc is not None:
+            _emit(doc, args, (time.perf_counter() - started) * 1000.0)
+        if code == EXIT_VERIFY:
+            print("error: verification failed", file=sys.stderr)
+        return code
+    except LengthLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except ValueError as exc:  # usage, parse, validation and layout errors
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except AssertionError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-
-
-def _run(argv) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        started = time.perf_counter()
-        doc = _HANDLERS[args.command](args)
-        if doc is not None:
-            _emit(doc, args, (time.perf_counter() - started) * 1000.0)
-        return EXIT_OK
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except LengthLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    except ValueError as exc:  # parse, validation and layout errors
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _VerificationFailed as exc:
-        _emit(exc.args[0], args)
-        print("verification failed", file=sys.stderr)
-        return EXIT_VERIFY
 
 
 def entrypoint() -> None:

@@ -31,8 +31,10 @@ a turn pair.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 from .gadgets import PERIODS
 
@@ -68,8 +70,12 @@ class Turn:
 class SatLayout:
     spacing: int
     variables: tuple[str, ...] = ()
-    clauses: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    clauses: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
     elements: tuple[Segment | Turn, ...] = ()
+
+    def __post_init__(self):
+        # A read-only copy, so the frozen layout cannot change behind its back.
+        object.__setattr__(self, "clauses", MappingProxyType(dict(self.clauses)))
 
     @property
     def variable_turns(self) -> list[Turn]:

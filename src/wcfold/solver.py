@@ -313,7 +313,8 @@ def exact_solve(
     args = [(seq, prefix, prune, count, seed, representative_cap) for prefix in prefixes]
 
     if workers > 1 and len(args) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        # The pool forks every worker it is given; past one per subtree they sit idle.
+        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
             results = list(pool.map(_solve_subtree, args))
     else:
         results = [_solve_subtree(a) for a in args]

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,10 @@ from wcfold.walks import points_to_moves
 from wcfold.reduction import bundled_layout_text
 
 from conftest import ZERO_PERIOD_LAYOUT
+
+
+# A failed verification emits its document and elapsed line, then one error line.
+VERIFICATION_FAILED_ERR = re.compile(r"# elapsed \d+\.\d ms\nerror: verification failed\n")
 
 
 def run_cli(capsys, *argv):
@@ -168,10 +173,15 @@ def test_long_inline_sequence(capsys):
 
 
 def test_unwritable_out_exit_code(capsys, tmp_path):
-    code, out, err = run_cli(capsys, "bound", "GGCC", "--out", str(tmp_path / "missing" / "x"))
-    assert code == 4
-    assert out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
+    layout = tmp_path / "single_clause.layout"
+    layout.write_text(bundled_layout_text("single_clause"))
+    missing = str(tmp_path / "missing" / "x")
+    # The failed verification's document write fails too: exit 4, not 3.
+    for argv in (("bound", "GGCC"), ("verify", str(layout), "--assign", "x=false")):
+        code, out, err = run_cli(capsys, *argv, "--out", missing)
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_unwritable_folding_out_exit_code(capsys, tmp_path):
@@ -246,7 +256,7 @@ def test_reduce_and_verify(capsys, tmp_path):
     code, out, err = run_cli(capsys, "verify", str(layout), "--assign", "x=false")
     assert code == 3
     assert "output.meets_k: false" in out
-    assert "verification failed" in err
+    assert VERIFICATION_FAILED_ERR.fullmatch(err)
 
 
 # The single_clause block twice, with a fixed right turn between the blocks.
@@ -322,7 +332,7 @@ def test_verify_gadget_not_straight_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verify", "--gadget", "flex")
     assert code == 3
     assert "output.straight_unique_optimal: false" in out
-    assert err == "verification failed\n"
+    assert VERIFICATION_FAILED_ERR.fullmatch(err)
 
 
 @pytest.mark.parametrize("argv,message", [

@@ -9,6 +9,7 @@ from wcfold.bounds import hairpin_folding
 from wcfold.model import Chain, score, validate_folding
 from wcfold.reduction import (
     LayoutError,
+    SatLayout,
     Segment,
     Turn,
     assemble,
@@ -407,6 +408,19 @@ def test_layout_is_immutable():
     assert isinstance(layout.variables, tuple) and isinstance(layout.elements, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
         layout.variables = ("y",)
+
+
+def test_layout_clauses_are_read_only():
+    layout = parse_layout(BLOCK)
+    with pytest.raises(TypeError):
+        layout.clauses["zz"] = ("x",)
+    # A hand-built layout keeps its own copy: the caller's dict cannot reach it.
+    clauses = {"c1": ("x",)}
+    built = SatLayout(spacing=84, variables=("x",), clauses=clauses)
+    clauses["zz"] = ("x",)
+    assert dict(built.clauses) == {"c1": ("x",)}
+    with pytest.raises(TypeError):
+        built.clauses["zz"] = ("x",)
 
 
 def test_spacing_gate():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import itertools
 
 import pytest
@@ -165,6 +166,31 @@ def test_worker_determinism_small():
     two = exact_solve(score_only, workers=2, count=False)
     assert one.optimal_count is None
     assert one == two
+
+
+def test_pool_has_at_most_one_worker_per_subtree(monkeypatch):
+    # A 13-base chain splits into 36 subtrees; the pool forks every worker
+    # it is asked for, so workers=64 must ask for 36.  The fake maps in-process.
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    chain = parse_chain("GGCGCCGCGGCGC")
+    expected = exact_solve(chain, workers=1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    assert exact_solve(chain, workers=64) == expected
+    assert sizes == [36]
 
 
 def test_score_only_mode():

@@ -187,6 +187,8 @@ def _cmd_solve(args) -> tuple[ResultDocument | None, int]:
     ]
     doc.diagnostics["nodes_explored"] = report.nodes_explored
     doc.diagnostics["pruned"] = report.pruned
+    if report.seed is not None:  # pruning off: there is no seed
+        doc.diagnostics["seed"] = report.seed
     return doc, EXIT_OK
 
 

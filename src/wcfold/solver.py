@@ -21,14 +21,30 @@ bond of a completed folding either lies inside the placed part (counted by
 the matching, which is maximum) or touches an unplaced node.  Such a bond
 joins two available nodes of a complementary pair, and the score is a
 matching, so no node takes part in two such bonds: the bound never
-underestimates.  The search also seeds its best-so-far with the score of
-the plain half-length hairpin, which is a real folding of the chain and
-therefore a valid lower bound.
+underestimates.
 
 The search tree is partitioned by canonical prefixes at a fixed depth that
 depends only on the chain length, and subtree results merge associatively
 in prefix order.  Worker count changes only which process runs a subtree,
 so reports are identical for any worker count.
+
+Every subtree search starts its best-so-far from a seed, the score of a
+real folding and so a valid lower bound.  Pruning pays only when the seed
+is the optimum: a walk that merely ties a weak seed is still expanded in
+count mode.  The plain half-length hairpin gives the first seed, but it is
+weak on most chains (1 bond on GAGGAACUACGGCUCGUCAG, whose optimum is 6).
+So on a partitioned chain a probe first searches the first
+_PROBE_SUBTREES subtrees in score-only mode, in order and in the calling
+process, each from the best score so far; on every chain measured the
+optimum lies in one of them.  The probe's best is the seed of every
+subtree search.  In score-only mode the probe's results stand for its own
+subtrees and only the rest are searched; in count mode every subtree is
+counted from the seed.  The probe depends only on the chain, so reports
+stay identical for any worker count.
+
+A score-only search stops once its best reaches the bounding-box bound,
+which no folding can beat.  That costs no compare per node: a leaf is
+reached only by a walk that improves the best.
 """
 
 from __future__ import annotations
@@ -36,7 +52,7 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 
-from .bounds import hairpin_folding
+from .bounds import bounding_box_bound, hairpin_folding
 from .model import Chain, Folding, Point, complementary, score, validate_folding
 from .walks import enumerate_walk_points
 
@@ -46,12 +62,19 @@ DEFAULT_REPRESENTATIVE_CAP = 16
 # _PREFIX_NODES nodes.  Fixed by length only, never by worker count.
 _PARTITION_THRESHOLD = 12
 _PREFIX_NODES = 6
+# A partitioned chain's seed comes from a score-only search of its first
+# _PROBE_SUBTREES subtrees (k=3 searched the fewest nodes of k = 1-6).
+_PROBE_SUBTREES = 3
 
 # Base codes: the bound's class layout relies on this order, and X is last.
 _BASES = "GCAUX"
 _CODE = {b: c for c, b in enumerate(_BASES)}
 # Complementarity on base codes, from which each search builds its bond rows.
 _COMP = tuple(tuple(complementary(a, b) for b in _BASES) for a in _BASES)
+
+
+class _Stop(Exception):
+    """A score-only search reached the bounding-box bound."""
 
 
 class LengthLimitError(ValueError):
@@ -73,7 +96,10 @@ class SolveReport:
     optimal_count counts optimal foldings modulo the 8 lattice symmetries
     (None when the search ran in score-only mode).  representatives holds
     the first optimal foldings in deterministic search order, at most
-    representative_cap of them (all of them when the cap is None).
+    representative_cap of them (all of them when the cap is None).  In
+    score-only mode a subtree yields only the first folding that beats the
+    best so far, so it may list fewer.  seed is the score every subtree
+    search started pruning from (None when pruning is off).
     """
 
     optimal_score: int
@@ -81,6 +107,7 @@ class SolveReport:
     representatives: tuple[Folding, ...]
     nodes_explored: int
     pruned: int
+    seed: int | None
 
 
 def _seed_score(chain: Chain) -> int:
@@ -104,7 +131,8 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     Returns (best, count_at_best, representatives, nodes, pruned).
     Counting starts at the seed score with count 0: only walks that actually
     attain the best score are counted, so a seed equal to the optimum still
-    yields the true count.
+    yields the true count.  A pruned score-only search returns as soon as
+    its best reaches the bounding-box bound.
     """
     seq, prefix, prune, counting, seed, rep_cap = args
     length = len(seq)
@@ -213,6 +241,7 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     best = seed if prune else -1
     # Counting keeps walks that tie the best; score-only mode prunes ties.
     tie = 0 if counting else 1
+    stop = bounding_box_bound(length) if prune and not counting else None
     count = 0
     reps: list[tuple] = []
     nodes_explored = 0
@@ -229,6 +258,8 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
                 count += 1
                 if rep_cap is None or len(reps) < rep_cap:
                     reps.append(tuple(pos[1:]))
+                if best == stop:
+                    raise _Stop
             return
         base_cell = pos[n]
         i = n + 1
@@ -267,24 +298,25 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     # leaves the x axis.
     for k, (x, y) in enumerate(prefix, start=1):
         place(k, (length + x) * width + (length + y))
-    dfs(len(prefix), any(y for _, y in prefix))
+    try:
+        dfs(len(prefix), any(y for _, y in prefix))
+    except _Stop:
+        pass
 
     decoded = [tuple((c // width - length, c % width - length) for c in cells)
                for cells in reps]
     return best, count, decoded, nodes_explored, pruned
 
 
-def _prefixes(length: int) -> tuple[list[tuple[Point, ...]], int]:
-    """Canonical prefixes (as lattice points) at the partition depth.
-
-    Returns (prefixes, prefix_nodes) where prefix_nodes counts the nodes of
-    the prefix tree, one per placement the prefixes make, so that
-    nodes_explored counts every placement.
-    """
+def _prefixes(length: int) -> list[tuple[Point, ...]]:
+    """Canonical prefixes (as lattice points) at the partition depth."""
     depth = _PREFIX_NODES if length > _PARTITION_THRESHOLD else min(length, 2)
-    prefixes = list(enumerate_walk_points(depth))
-    nodes = {pts[:d] for pts in prefixes for d in range(1, depth + 1)}
-    return prefixes, len(nodes)
+    return list(enumerate_walk_points(depth))
+
+
+def _prefix_tree_size(prefixes: list[tuple[Point, ...]]) -> int:
+    """Nodes of the tree the prefixes span, one per placement they make."""
+    return len({pts[:d] for pts in prefixes for d in range(1, len(pts) + 1)})
 
 
 def exact_solve(
@@ -308,10 +340,25 @@ def exact_solve(
         raise LengthLimitError(length, max_length)
 
     seq = chain.seq
-    seed = _seed_score(chain) if prune else 0
-    prefixes, partition_nodes = _prefixes(length)
-    args = [(seq, prefix, prune, count, seed, representative_cap) for prefix in prefixes]
+    prefixes = _prefixes(length)
+    cap = bounding_box_bound(length)
+    seed = _seed_score(chain) if prune else None
+    # The probe (see the module docstring); nothing beats the cap.
+    probe = []
+    if prune and length > _PARTITION_THRESHOLD:
+        for prefix in prefixes[:_PROBE_SUBTREES]:
+            if seed == cap:
+                break
+            probe.append(_solve_subtree((seq, prefix, True, False, seed, representative_cap)))
+            seed = probe[-1][0]
 
+    if count:
+        todo = prefixes
+    elif seed == cap:
+        todo = []  # a pruned score-only search that reached the cap is done
+    else:
+        todo = prefixes[len(probe):]  # the probe's results stand for its subtrees
+    args = [(seq, prefix, prune, count, seed, representative_cap) for prefix in todo]
     if workers > 1 and len(args) > 1:
         # The pool forks every worker it is given; past one per subtree they sit idle.
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
@@ -319,14 +366,15 @@ def exact_solve(
     else:
         results = [_solve_subtree(a) for a in args]
 
-    best = max(r[0] for r in results)
+    searched = probe + results
+    nodes = _prefix_tree_size(prefixes[:len(probe)] + todo) + sum(r[3] for r in searched)
+    pruned = sum(r[4] for r in searched)
+    if not count:
+        results = searched
+    best = max((r[0] for r in results), default=seed)
     total_count = 0
     reps: list[Folding] = []
-    nodes = partition_nodes
-    pruned = 0
-    for sub_best, sub_count, sub_reps, sub_nodes, sub_pruned in results:
-        nodes += sub_nodes
-        pruned += sub_pruned
+    for sub_best, sub_count, sub_reps, _, _ in results:
         if sub_best == best:
             total_count += sub_count
             for points in sub_reps:
@@ -339,6 +387,7 @@ def exact_solve(
         representatives=tuple(reps),
         nodes_explored=nodes,
         pruned=pruned,
+        seed=seed,
     )
 
 

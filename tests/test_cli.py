@@ -396,6 +396,7 @@ output.bound_parity: 4
 output.representatives: RRRULLL
 diag.nodes_explored: 73
 diag.pruned: 42
+diag.seed: 3
 """,
     ("solve", "GGGCCC", "--all-optima"): """command: solve
 input.sequence: GGGCCC
@@ -409,6 +410,7 @@ output.bound_parity: 3
 output.representatives: RRULL RULUR
 diag.nodes_explored: 32
 diag.pruned: 17
+diag.seed: 2
 """,
     ("bound", "GAUC"): """command: bound
 input.sequence: GAUC
@@ -443,6 +445,10 @@ output.optimal: 1
 # --all-optima lists every optimum whatever the representative cap
 GOLDEN[("solve", "GGGCCC", "--all-optima", "--representatives", "1")] = GOLDEN[
     ("solve", "GGGCCC", "--all-optima")]
+# With pruning off every walk is placed and no seed is reported.
+GOLDEN[("solve", "GGGCCC", "--no-prune")] = GOLDEN[("solve", "GGGCCC", "--all-optima")].replace(
+    "diag.nodes_explored: 32\ndiag.pruned: 17\ndiag.seed: 2\n",
+    "diag.nodes_explored: 58\ndiag.pruned: 0\n")
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))

@@ -8,6 +8,7 @@ from wcfold.bounds import bounding_box_bound, gc_block_chain, mixed_block_chain,
 from wcfold.model import Chain, parse_chain, validate_folding, score
 from wcfold.solver import (
     LengthLimitError,
+    _seed_score,
     exact_solve,
     optimal_score,
 )
@@ -94,6 +95,34 @@ def test_pruning_does_not_change_results():
         assert fast.optimal_count == slow.optimal_count
 
 
+@pytest.mark.parametrize("seq, raised", [
+    ("GGGCCGCGGGCGG", True),   # hairpin 1, probe 4 = optimum
+    ("CCCCGGCCGGGCG", True),   # hairpin 2, probe 4, optimum 5 in a later subtree
+    ("GAUCCGAUGCAUG", True),
+    ("GGAUXCCAUGXXC", True),
+    ("GGGGGGCCCCCCC", False),  # the hairpin is already optimal
+])
+def test_pruning_does_not_change_results_above_the_threshold(seq, raised):
+    # 13 bases: partitioned, so every pruned search starts from the probe's seed.
+    chain = Chain(seq)
+    fast = exact_solve(chain)
+    slow = exact_solve(chain, prune=False)
+    assert (fast.optimal_score, fast.optimal_count, fast.representatives) == (
+        slow.optimal_score, slow.optimal_count, slow.representatives)
+    assert (fast.seed > _seed_score(chain)) == raised
+    assert exact_solve(chain, count=False).optimal_score == slow.optimal_score
+    assert exact_solve(chain, count=False, prune=False).optimal_score == slow.optimal_score
+
+
+@pytest.mark.parametrize("length", range(2, 13))
+def test_alternating_chain_attains_the_bounding_box_bound(length):
+    # A score-only search stops at the bounding-box bound: exhaustively,
+    # GCGC... reaches it and nothing exceeds it.
+    chain = Chain(("GC" * length)[:length])
+    report = exact_solve(chain, prune=False, count=False, representative_cap=0)
+    assert report.optimal_score == bounding_box_bound(length) == length // 2 - 1
+
+
 def test_representatives_are_valid_and_optimal():
     chain = gc_block_chain(4)
     report = exact_solve(chain)
@@ -141,15 +170,17 @@ def test_node_count_is_the_walk_tree_size(length):
 @pytest.mark.parametrize("seq, count, expected", [
     ("GGGGGGGCCCCCCC", True, (6, 1, 2364, 1382)),
     ("GCGGCCGCGGCCGC", True, (6, 1, 2237, 1342)),
-    ("GGCGCCGCGGCGC", False, (5, None, 618, 384)),
+    ("GGCGCCGCGGCGC", False, (5, None, 0, 0)),
     ("GAUCGGAUCCGAUC", True, (6, 1, 1980, 1189)),
-    ("AUGCAUGCAUGCAU", False, (6, None, 833, 509)),
-    ("GGAUXCCAUGXXCG", True, (3, 65, 94716, 55825)),
-    ("UAGCCGAUUAGCGC", False, (3, None, 23223, 14499)),
+    ("AUGCAUGCAUGCAU", False, (6, None, 0, 0)),
+    ("GGAUXCCAUGXXCG", True, (3, 65, 92250, 54686)),
+    ("UAGCCGAUUAGCGC", False, (3, None, 10250, 6369)),
 ])
 def test_search_shape_is_pinned(seq, count, expected):
     # Above the partition threshold: these node and prune counts pin the
-    # search itself, so a change to the bound or the visiting order shows.
+    # search itself, so a change to the bound, the seed or the visiting
+    # order shows.  Two score-only rows reach the bounding-box bound with
+    # the hairpin seed and search nothing.
     report = exact_solve(parse_chain(seq), count=count)
     got = (report.optimal_score, report.optimal_count, report.nodes_explored, report.pruned)
     assert got == expected
@@ -166,6 +197,16 @@ def test_worker_determinism_small():
     two = exact_solve(score_only, workers=2, count=False)
     assert one.optimal_count is None
     assert one == two
+
+
+@pytest.mark.parametrize("count", [True, False])
+def test_worker_determinism_with_a_raised_seed(count):
+    # The probe raises the seed from the hairpin's 1 bond to the optimum 4;
+    # its placements and prunes are in the report whatever the worker count.
+    chain = parse_chain("CAAUAGAUGUGGCU")
+    one = exact_solve(chain, workers=1, count=count)
+    assert (_seed_score(chain), one.seed, one.optimal_score) == (1, 4, 4)
+    assert exact_solve(chain, workers=2, count=count) == one
 
 
 def test_pool_has_at_most_one_worker_per_subtree(monkeypatch):

@@ -102,9 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="generate a chain family member")
     p_gen.add_argument("family", choices=("sn", "mixed"))
-    p_gen.add_argument("n", type=int)
-    p_gen.add_argument("m", type=int, nargs="?", default=None,
-                       help="for mixed: G/C block total (n becomes the A/U total)")
+    p_gen.add_argument("first", type=int, metavar="NUMBER",
+                       help="for sn: n, the half-length of G^n C^n; for mixed: m, the G/C total")
+    p_gen.add_argument("second", type=int, nargs="?", default=None, metavar="NUMBER",
+                       help="for mixed: n, the A/U total")
     p_gen.add_argument("--emit-folding", metavar="FILE", default=None,
                        help="for sn: also write the hairpin folding file")
     _common_flags(p_gen)
@@ -187,7 +188,7 @@ def _cmd_solve(args) -> tuple[ResultDocument | None, int]:
     ]
     doc.diagnostics["nodes_explored"] = report.nodes_explored
     doc.diagnostics["pruned"] = report.pruned
-    if report.seed is not None:  # pruning off: there is no seed
+    if report.seed is not None:  # None: no probe ran (pruning off, or 12 bases or fewer)
         doc.diagnostics["seed"] = report.seed
     return doc, EXIT_OK
 
@@ -216,19 +217,18 @@ def _cmd_bound(args) -> tuple[ResultDocument | None, int]:
 
 def _cmd_gen(args) -> tuple[ResultDocument | None, int]:
     if args.family == "mixed":
-        if args.m is None:
+        if args.second is None:
             raise ValueError("gen mixed needs two numbers: m n")
-        # Positional order is `gen mixed M N`: M bases of G/C, N of A/U.
-        chain = bounds.mixed_block_chain(args.n, args.m)
+        numbers = {"m": args.first, "n": args.second}
+        chain = bounds.mixed_block_chain(**numbers)
     else:
-        if args.m is not None:
-            raise ValueError(f"gen sn takes one number n, got an extra {args.m}")
-        chain = bounds.gc_block_chain(args.n)
+        if args.second is not None:
+            raise ValueError(f"gen sn takes one number n, got an extra {args.second}")
+        numbers = {"n": args.first}
+        chain = bounds.gc_block_chain(**numbers)
     doc = ResultDocument(command="gen")
     doc.inputs["family"] = args.family
-    doc.inputs["n"] = args.n
-    if args.m is not None:
-        doc.inputs["m"] = args.m
+    doc.inputs.update(numbers)
     doc.outputs["sequence"] = chain.seq
     doc.outputs["length"] = len(chain)
     # Both families have a unique optimal folding above half-length 3.
@@ -236,8 +236,8 @@ def _cmd_gen(args) -> tuple[ResultDocument | None, int]:
     if args.emit_folding:
         if args.family != "sn":
             raise ValueError("--emit-folding applies to the sn family")
-        folding = bounds.hairpin_folding(args.n)
-        write_folding_file(args.emit_folding, folding, comment=f"hairpin n={args.n}")
+        folding = bounds.hairpin_folding(args.first)
+        write_folding_file(args.emit_folding, folding, comment=f"hairpin n={args.first}")
         doc.outputs["folding_file"] = args.emit_folding
         doc.outputs["folding_score"] = score(chain, folding)[0]
     return doc, EXIT_OK

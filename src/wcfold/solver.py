@@ -28,19 +28,19 @@ depends only on the chain length, and subtree results merge associatively
 in prefix order.  Worker count changes only which process runs a subtree,
 so reports are identical for any worker count.
 
-Every subtree search starts its best-so-far from a seed, the score of a
-real folding and so a valid lower bound.  Pruning pays only when the seed
-is the optimum: a walk that merely ties a weak seed is still expanded in
-count mode.  The plain half-length hairpin gives the first seed, but it is
-weak on most chains (1 bond on GAGGAACUACGGCUCGUCAG, whose optimum is 6).
-So on a partitioned chain a probe first searches the first
-_PROBE_SUBTREES subtrees in score-only mode, in order and in the calling
-process, each from the best score so far; on every chain measured the
-optimum lies in one of them.  The probe's best is the seed of every
-subtree search.  In score-only mode the probe's results stand for its own
-subtrees and only the rest are searched; in count mode every subtree is
-counted from the seed.  The probe depends only on the chain, so reports
-stay identical for any worker count.
+A subtree search starts its best-so-far from a seed, the score of a real
+folding and so a valid lower bound, or from nothing (-1), in which case
+its first leaf is recorded whatever it scores.  Pruning pays only when the
+seed is the optimum: a walk that merely ties a weak seed is still expanded
+in count mode.  So on a partitioned chain, with pruning on, a probe first
+searches the first _PROBE_SUBTREES subtrees in score-only mode, in order
+and in the calling process, the first from nothing and each later one from
+the best score so far; on every chain measured the optimum lies in one of
+them.  The probe's best is the seed of every other subtree search.  In
+score-only mode the probe's results stand for its own subtrees and only
+the rest are searched; in count mode every subtree is counted from the
+seed.  The probe depends only on the chain, so reports stay identical for
+any worker count.  Without a probe every subtree starts from nothing.
 
 A score-only search stops once its best reaches the bounding-box bound,
 which no folding can beat.  That costs no compare per node: a leaf is
@@ -52,8 +52,8 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 
-from .bounds import bounding_box_bound, hairpin_folding
-from .model import Chain, Folding, Point, complementary, score, validate_folding
+from .bounds import bounding_box_bound
+from .model import Chain, Folding, Point, complementary
 from .walks import enumerate_walk_points
 
 DEFAULT_MAX_LENGTH = 20
@@ -98,8 +98,11 @@ class SolveReport:
     the first optimal foldings in deterministic search order, at most
     representative_cap of them (all of them when the cap is None).  In
     score-only mode a subtree yields only the first folding that beats the
-    best so far, so it may list fewer.  seed is the score every subtree
-    search started pruning from (None when pruning is off).
+    best so far, so it may list fewer, but at least one whenever
+    representative_cap >= 1.  seed is the probe's best, the score the
+    subtree searches after the probe started pruning from; it is None when
+    no probe ran (pruning off, or 12 bases or fewer), and every search
+    then started from nothing.
     """
 
     optimal_score: int
@@ -108,16 +111,6 @@ class SolveReport:
     nodes_explored: int
     pruned: int
     seed: int | None
-
-
-def _seed_score(chain: Chain) -> int:
-    """Score of the half-length hairpin folding: an achievable lower bound."""
-    length = len(chain)
-    if length < 4:
-        return 0
-    # An odd chain drops the hairpin's last cell.
-    points = hairpin_folding((length + 1) // 2).points[:length]
-    return score(chain, validate_folding(chain, points))[0]
 
 
 def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
@@ -129,10 +122,10 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     encoded onto it here and the representatives decoded back to points.
 
     Returns (best, count_at_best, representatives, nodes, pruned).
-    Counting starts at the seed score with count 0: only walks that actually
-    attain the best score are counted, so a seed equal to the optimum still
-    yields the true count.  A pruned score-only search returns as soon as
-    its best reaches the bounding-box bound.
+    Counting starts at the seed score (-1 when there is none) with count 0:
+    only walks that actually attain the best score are counted, so a seed
+    equal to the optimum still yields the true count.  A pruned score-only
+    search returns as soon as its best reaches the bounding-box bound.
     """
     seq, prefix, prune, counting, seed, rep_cap = args
     length = len(seq)
@@ -238,7 +231,7 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
                 free_cnt[q] += 1
         occ[cell] = 0
 
-    best = seed if prune else -1
+    best = seed
     # Counting keeps walks that tie the best; score-only mode prunes ties.
     tie = 0 if counting else 1
     stop = bounding_box_bound(length) if prune and not counting else None
@@ -342,8 +335,8 @@ def exact_solve(
     seq = chain.seq
     prefixes = _prefixes(length)
     cap = bounding_box_bound(length)
-    seed = _seed_score(chain) if prune else None
     # The probe (see the module docstring); nothing beats the cap.
+    seed = -1
     probe = []
     if prune and length > _PARTITION_THRESHOLD:
         for prefix in prefixes[:_PROBE_SUBTREES]:
@@ -371,7 +364,7 @@ def exact_solve(
     pruned = sum(r[4] for r in searched)
     if not count:
         results = searched
-    best = max((r[0] for r in results), default=seed)
+    best = max(r[0] for r in results)
     total_count = 0
     reps: list[Folding] = []
     for sub_best, sub_count, sub_reps, _, _ in results:
@@ -387,7 +380,7 @@ def exact_solve(
         representatives=tuple(reps),
         nodes_explored=nodes,
         pruned=pruned,
-        seed=seed,
+        seed=seed if probe else None,
     )
 
 

@@ -6,12 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from wcfold.bounds import bounding_box_bound, gc_block_chain, mixed_block_chain, parity_bound
 from wcfold.model import Chain, parse_chain, validate_folding, score
-from wcfold.solver import (
-    LengthLimitError,
-    _seed_score,
-    exact_solve,
-    optimal_score,
-)
+from wcfold.solver import LengthLimitError, exact_solve, optimal_score
 from wcfold.walks import canonical_moves, enumerate_walk_points
 
 from conftest import brute_force_optimum
@@ -95,21 +90,22 @@ def test_pruning_does_not_change_results():
         assert fast.optimal_count == slow.optimal_count
 
 
-@pytest.mark.parametrize("seq, raised", [
-    ("GGGCCGCGGGCGG", True),   # hairpin 1, probe 4 = optimum
-    ("CCCCGGCCGGGCG", True),   # hairpin 2, probe 4, optimum 5 in a later subtree
-    ("GAUCCGAUGCAUG", True),
-    ("GGAUXCCAUGXXC", True),
-    ("GGGGGGCCCCCCC", False),  # the hairpin is already optimal
+@pytest.mark.parametrize("seq, beaten", [
+    ("GGGCCGCGGGCGG", False),  # the probe's seed 4 is the optimum
+    ("CCCCGGCCGGGCG", True),   # probe 4, optimum 5 in a later subtree
+    ("GAUCCGAUGCAUG", True),   # probe 3, optimum 4
+    ("GGAUXCCAUGXXC", True),   # probe 2, optimum 3
+    ("GGGGGGCCCCCCC", False),  # the probe's seed 5 is the optimum
 ])
-def test_pruning_does_not_change_results_above_the_threshold(seq, raised):
-    # 13 bases: partitioned, so every pruned search starts from the probe's seed.
+def test_pruning_does_not_change_results_above_the_threshold(seq, beaten):
+    # 13 bases: partitioned, so every pruned search starts from the probe's
+    # seed, and beaten says whether the seed falls short of the optimum.
     chain = Chain(seq)
     fast = exact_solve(chain)
     slow = exact_solve(chain, prune=False)
     assert (fast.optimal_score, fast.optimal_count, fast.representatives) == (
         slow.optimal_score, slow.optimal_count, slow.representatives)
-    assert (fast.seed > _seed_score(chain)) == raised
+    assert (fast.seed < slow.optimal_score) == beaten
     assert exact_solve(chain, count=False).optimal_score == slow.optimal_score
     assert exact_solve(chain, count=False, prune=False).optimal_score == slow.optimal_score
 
@@ -168,19 +164,19 @@ def test_node_count_is_the_walk_tree_size(length):
 
 
 @pytest.mark.parametrize("seq, count, expected", [
-    ("GGGGGGGCCCCCCC", True, (6, 1, 2364, 1382)),
-    ("GCGGCCGCGGCCGC", True, (6, 1, 2237, 1342)),
-    ("GGCGCCGCGGCGC", False, (5, None, 0, 0)),
-    ("GAUCGGAUCCGAUC", True, (6, 1, 1980, 1189)),
-    ("AUGCAUGCAUGCAU", False, (6, None, 0, 0)),
-    ("GGAUXCCAUGXXCG", True, (3, 65, 92250, 54686)),
-    ("UAGCCGAUUAGCGC", False, (3, None, 10250, 6369)),
+    ("GGGGGGGCCCCCCC", True, (6, 1, 2503, 1460)),
+    ("GCGGCCGCGGCCGC", True, (6, 1, 2370, 1417)),
+    ("GGCGCCGCGGCGC", False, (5, None, 123, 66)),
+    ("GAUCGGAUCCGAUC", True, (6, 1, 2418, 1458)),
+    ("AUGCAUGCAUGCAU", False, (6, None, 97, 48)),
+    ("GGAUXCCAUGXXCG", True, (3, 65, 92261, 54691)),
+    ("UAGCCGAUUAGCGC", False, (3, None, 10352, 6430)),
 ])
 def test_search_shape_is_pinned(seq, count, expected):
     # Above the partition threshold: these node and prune counts pin the
     # search itself, so a change to the bound, the seed or the visiting
-    # order shows.  Two score-only rows reach the bounding-box bound with
-    # the hairpin seed and search nothing.
+    # order shows.  Two score-only rows reach the bounding-box bound in the
+    # probe's first subtree and search no other.
     report = exact_solve(parse_chain(seq), count=count)
     got = (report.optimal_score, report.optimal_count, report.nodes_explored, report.pruned)
     assert got == expected
@@ -201,11 +197,20 @@ def test_worker_determinism_small():
 
 @pytest.mark.parametrize("count", [True, False])
 def test_worker_determinism_with_a_raised_seed(count):
-    # The probe raises the seed from the hairpin's 1 bond to the optimum 4;
-    # its placements and prunes are in the report whatever the worker count.
+    # The probe's seed is the optimum 4; its placements and prunes are in
+    # the report whatever the worker count.
     chain = parse_chain("CAAUAGAUGUGGCU")
     one = exact_solve(chain, workers=1, count=count)
-    assert (_seed_score(chain), one.seed, one.optimal_score) == (1, 4, 4)
+    assert (one.seed, one.optimal_score) == (4, 4)
+    assert exact_solve(chain, workers=2, count=count) == one
+
+
+@pytest.mark.parametrize("count", [True, False])
+def test_worker_determinism_without_a_probe(count):
+    # At 12 bases no probe runs: every subtree starts from nothing.
+    chain = parse_chain("GCAUGGCAUCCG")
+    one = exact_solve(chain, workers=1, count=count)
+    assert one.seed is None
     assert exact_solve(chain, workers=2, count=count) == one
 
 
@@ -239,16 +244,25 @@ def test_score_only_mode():
     assert optimal_score(chain) == 4
     report = exact_solve(chain, count=False, representative_cap=0)
     assert report.optimal_count is None
+    # An optimal folding is listed also when no walk beats the first one
+    # found: the probe's first subtree reaches the bound 9 on G^10 C^10.
+    for seq, best in [("GC", 0), ("G" * 10 + "C" * 10, 9), ("GGGG", 0)]:
+        chain = Chain(seq)
+        report = exact_solve(chain, count=False)
+        assert report.optimal_score == best
+        assert [score(chain, rep)[0] for rep in report.representatives] == [best], seq
 
 
-@given(st.text(alphabet="GCAUX", min_size=1, max_size=9))
+@pytest.mark.parametrize("count", [True, False])
+@given(seq=st.text(alphabet="GCAUX", min_size=1, max_size=9))
 @settings(max_examples=60, deadline=None)
-def test_every_chain_has_an_optimal_folding(seq):
-    report = exact_solve(Chain(seq))
-    assert report.optimal_count >= 1
+def test_every_chain_has_an_optimal_folding(count, seq):
+    report = exact_solve(Chain(seq), count=count)
+    if count:
+        assert report.optimal_count >= 1
     assert report.representatives
-    rep = report.representatives[0]
-    assert score(Chain(seq), rep)[0] == report.optimal_score
+    for rep in report.representatives:
+        assert score(Chain(seq), rep)[0] == report.optimal_score
 
 
 def test_optimum_never_exceeds_bounds():

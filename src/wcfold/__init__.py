@@ -30,7 +30,7 @@ from .solver import (
     exact_solve,
     optimal_score,
 )
-from .walks import canonical_moves, moves_to_points, points_to_moves
+from .walks import moves_to_points, points_to_moves
 
 __all__ = [
     "BondSet",
@@ -44,7 +44,6 @@ __all__ = [
     "Point",
     "SolveReport",
     "bounding_box_bound",
-    "canonical_moves",
     "complementary",
     "contact_graph",
     "exact_solve",

@@ -100,7 +100,10 @@ def hairpin_folding(n: int) -> Folding:
 
 
 def mixed_block_chain(m: int, n: int) -> Chain:
-    """The chain G^(m/2) A^(n/2) U^(n/2) C^(m/2); m and n must be even."""
+    """The chain G^(m/2) A^(n/2) U^(n/2) C^(m/2); m and n must be even
+    and at least 0, with m + n at least 2."""
+    if m < 0 or n < 0:
+        raise ValueError(f"m and n must be at least 0, got m={m}, n={n}")
     if m % 2 or n % 2:
         raise ValueError("m and n must be even")
     if m + n < 2:

@@ -133,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="check straightness of an isolated gadget instead")
     # Gadget-only; None tells an omitted flag (1 for --gadget) from a given one.
     p_verify.add_argument("--periods", type=int, default=None)
-    p_verify.add_argument("--workers", type=int, default=None)
     _common_flags(p_verify)
 
     p_render = sub.add_parser("render", help="draw a folding")
@@ -302,17 +301,15 @@ def _cmd_verify(args) -> tuple[ResultDocument | None, int]:
             raise ValueError("--gadget checks an isolated gadget; it takes no layout file "
                              "or --assign")
         periods = 1 if args.periods is None else args.periods
-        workers = 1 if args.workers is None else args.workers
-        _require_at_least("--workers", workers, 1)
-        ok = reduction.verify_straightness(args.gadget, periods, workers=workers)
+        ok = reduction.verify_straightness(args.gadget, periods)
         doc.inputs["gadget"] = args.gadget
         doc.inputs["periods"] = periods
         doc.outputs["straight_unique_optimal"] = ok
         return doc, EXIT_OK if ok else EXIT_VERIFY
     if not args.layout:
         raise ValueError("verify needs a layout file or --gadget")
-    if args.periods is not None or args.workers is not None:
-        raise ValueError("--periods/--workers apply only to --gadget")
+    if args.periods is not None:
+        raise ValueError("--periods applies only to --gadget")
     layout = reduction.load_layout(args.layout)
     instance = reduction.assemble(layout)
     assignment = _parse_assignment(args.assign or "")

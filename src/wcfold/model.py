@@ -14,7 +14,7 @@ All types here are immutable values and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain as _chain, compress
 from operator import itemgetter, sub
 
 from .matching import maximum_bipartite_matching
@@ -106,14 +106,23 @@ _UNIT_STEPS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
 
 
 def validate_folding(chain: Chain, points) -> Folding:
-    """Check self-avoidance and unit steps, returning a Folding.
+    """Check integer coordinates, self-avoidance and unit steps, returning
+    a Folding.
 
-    Every point is coerced to a pair of ints with int().  Raises
-    FoldingValidationError with the first offending 1-based index: the
-    later of a repeated pair of points, or the point that is not one unit
-    step from its predecessor.
+    Every point is unpacked as a pair and each coordinate coerced with
+    int(); ints, bools and integral floats pass.  Raises
+    FoldingValidationError with the first offending 1-based index: a point
+    with a coordinate that int() changes (1.9, say), the later of a
+    repeated pair of points, or the point that is not one unit step from
+    its predecessor.
     """
-    pts = tuple((int(x), int(y)) for x, y in points)
+    raw = list(points)
+    ints = [(int(x), int(y)) for x, y in raw]
+    # Tuple points whose coordinates int() keeps compare equal at once;
+    # list points fall back to comparing the flat coordinates.
+    if ints != raw and list(_chain.from_iterable(ints)) != list(_chain.from_iterable(raw)):
+        _raise_first_fraction(raw, ints)
+    pts = tuple(ints)
     if len(pts) != len(chain):
         raise FoldingValidationError(
             f"folding has {len(pts)} points for a chain of length {len(chain)}",
@@ -134,6 +143,16 @@ def _is_walk(pts: tuple[Point, ...]) -> bool:
     ys = list(map(itemgetter(1), pts))
     steps = zip(map(sub, xs[1:], xs), map(sub, ys[1:], ys))
     return len(set(pts)) == len(pts) and _UNIT_STEPS.issuperset(steps)
+
+
+def _raise_first_fraction(raw: list, ints: list[Point]) -> None:
+    """Raise FoldingValidationError for the first point of raw that int()
+    changed on its way into ints."""
+    for i, ((x, y), pt) in enumerate(zip(raw, ints), start=1):
+        if pt != (x, y):
+            raise FoldingValidationError(
+                f"non-integer coordinate at index {i} (point {(x, y)})", i
+            )
 
 
 def _raise_first_fault(pts: tuple[Point, ...]) -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from ..bounds import hairpin_folding
 from ..model import COMPLEMENT, Chain
 from ..solver import exact_solve
-from ..walks import canonical_moves
 
 # The outbound strand's period for each segment kind; the returning strand
 # carries its complement.
@@ -43,18 +42,22 @@ def hairpinned_gadget_chain(kind: str, periods: int) -> str:
     return outbound + "".join(COMPLEMENT[b] for b in reversed(outbound))
 
 
-def verify_straightness(kind: str, periods: int, *, workers: int = 1) -> bool:
+def verify_straightness(kind: str, periods: int) -> bool:
     """True iff the straight embedding (the 2 x n hairpin) is the unique
     optimal folding of the hairpinned gadget chain, established by
-    exhaustive search."""
+    exhaustive search in one process.
+
+    The solver's representative and hairpin_folding are both canonical
+    walks from the origin (first step +x, first turn left), so the two
+    are the same folding exactly when their points are equal.  Raises
+    ValueError beyond STRAIGHTNESS_LIMIT bases.
+    """
     seq = hairpinned_gadget_chain(kind, periods)
     if len(seq) > STRAIGHTNESS_LIMIT:
         raise ValueError(
             f"{kind} x {periods} gives a {len(seq)}-base chain, beyond the "
             f"exhaustive-search limit {STRAIGHTNESS_LIMIT}"
         )
-    report = exact_solve(Chain(seq), max_length=STRAIGHTNESS_LIMIT, workers=workers)
-    if report.optimal_count != 1:
-        return False
+    report = exact_solve(Chain(seq), max_length=STRAIGHTNESS_LIMIT)
     straight = hairpin_folding(len(seq) // 2)
-    return canonical_moves(report.representatives[0].points) == canonical_moves(straight.points)
+    return report.optimal_count == 1 and report.representatives[0] == straight

@@ -73,34 +73,3 @@ def moves_to_points(moves: str) -> tuple[Point, ...]:
         pts.append((x, y))
     return tuple(pts)
 
-
-def canonical_moves(points) -> str:
-    """Move string of the walk's canonical symmetry representative.
-
-    Two walks are images of each other under the 8 lattice symmetries plus
-    translation exactly when their canonical move strings are equal.
-    """
-    pts = list(points)
-    if len(pts) < 2:
-        return ""
-    steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:])]
-
-    def rotate_to_east(seq):
-        dx, dy = seq[0]
-        # Rotation matrix sending the first step to (1, 0).
-        out = []
-        for sx, sy in seq:
-            out.append((sx * dx + sy * dy, -sx * dy + sy * dx))
-        return out
-
-    a = rotate_to_east(steps)
-    b = [(sx, -sy) for sx, sy in a]  # mirror across the walk's initial axis
-    for cand in (a, b):
-        for sx, sy in cand:
-            if sy == 1:
-                return "".join(_MOVE_CHAR[s] for s in cand)
-            if sy == -1:
-                break
-        else:
-            return "".join(_MOVE_CHAR[s] for s in cand)  # straight walk
-    raise AssertionError("one of the two mirrors must turn left first")

@@ -67,6 +67,10 @@ def test_mixed_block_chain():
     assert mixed_block_chain(0, 8).seq == "AAAAUUUU"
     with pytest.raises(ValueError):
         mixed_block_chain(3, 4)
+    # Each has m + n >= 2; the sign is checked before parity.
+    for m, n in [(-2, 4), (4, -2), (-3, 6)]:
+        with pytest.raises(ValueError, match="^m and n must be at least 0"):
+            mixed_block_chain(m, n)
 
 
 @pytest.mark.parametrize("n", range(2, 31))

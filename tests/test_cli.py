@@ -215,9 +215,7 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     (("solve", "GGGGCCCC", "--workers", "-3"), "--workers must be at least 1, got -3"),
     (("solve", "GGGGCCCC", "--representatives", "-1"),
      "--representatives must be at least 0, got -1"),
-    (("verify", "--gadget", "flex", "--workers", "0"), "--workers must be at least 1, got 0"),
-], ids=["solve-workers-0", "solve-workers-negative", "solve-representatives-negative",
-        "verify-workers-0"])
+], ids=["solve-workers-0", "solve-workers-negative", "solve-representatives-negative"])
 def test_rejects_out_of_range_counts(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -337,7 +335,7 @@ def test_verify_gadget_rejects_instance_arguments(capsys, extra):
 
 
 def test_verify_gadget_not_straight_exit_code(capsys, monkeypatch):
-    monkeypatch.setattr(reduction, "verify_straightness", lambda kind, periods, workers: False)
+    monkeypatch.setattr(reduction, "verify_straightness", lambda kind, periods: False)
     code, out, err = run_cli(capsys, "verify", "--gadget", "flex")
     assert code == 3
     assert "output.straight_unique_optimal: false" in out
@@ -348,8 +346,9 @@ def test_verify_gadget_not_straight_exit_code(capsys, monkeypatch):
     (("verify", "single_clause.layout", "--assign", "x=maybe"),
      "bad assignment 'x=maybe'; use var=true or var=false"),
     (("gen", "mixed", "4"), "gen mixed needs two numbers: m n"),
+    (("gen", "mixed", "-2", "4"), "m and n must be at least 0, got m=-2, n=4"),
     (("verify",), "verify needs a layout file or --gadget"),
-], ids=["assign-value", "gen-mixed-one-number", "verify-nothing"])
+], ids=["assign-value", "gen-mixed-one-number", "gen-mixed-negative", "verify-nothing"])
 def test_usage_error_paths(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "single_clause.layout").write_text(bundled_layout_text("single_clause"))
@@ -374,14 +373,28 @@ def test_verify_gadget_defaults_to_one_period(capsys):
     assert "input.periods: 1" in out
 
 
-@pytest.mark.parametrize("extra", [("--periods", "7"), ("--workers", "3"), ("--workers", "1")],
-                         ids=["periods", "workers", "workers-1"])
+@pytest.mark.parametrize("extra", [("--periods", "7")], ids=["periods"])
 def test_verify_layout_rejects_gadget_flags(capsys, extra):
     # Rejected before any file is read, so the layout path need not exist.
     code, out, err = run_cli(capsys, "verify", "single_clause.layout", "--assign", "x=true", *extra)
     assert code == 1
     assert out == ""
-    assert err == "error: --periods/--workers apply only to --gadget\n"
+    assert err == "error: --periods applies only to --gadget\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--gadget", "flex", "--workers", "2"),
+    ("verify", "single_clause.layout", "--assign", "x=true", "--workers", "1"),
+], ids=["gadget", "layout"])
+def test_verify_has_no_workers_flag(capsys, argv):
+    # Only solve starts worker processes; verify runs its search serially.
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith("error: unrecognized arguments: --workers")
+    assert "Traceback" not in err
 
 
 def test_sequence_from_file(capsys, tmp_path):

@@ -254,7 +254,13 @@ def test_contact_graph_matches_all_pairs_scan_on_fixtures(name):
 def loop_validate_folding(chain, points):
     """validate_folding as one Python loop over every point: the reference
     for which error, message and index the set-based checks must give."""
-    pts = tuple((int(x), int(y)) for x, y in points)
+    raw = list(points)
+    pts = tuple((int(x), int(y)) for x, y in raw)
+    for i, ((x, y), pt) in enumerate(zip(raw, pts), start=1):
+        if pt != (x, y):
+            raise FoldingValidationError(
+                f"non-integer coordinate at index {i} (point {(x, y)})", i
+            )
     if len(pts) != len(chain):
         raise FoldingValidationError(
             f"folding has {len(pts)} points for a chain of length {len(chain)}",
@@ -289,7 +295,7 @@ def _outcome(validate, chain, points):
 @settings(max_examples=200, deadline=None)
 def test_validate_folding_errors_match_loop(pts, data):
     chain = Chain("G" * len(pts))
-    fault = data.draw(st.sampled_from(["none", "repeat", "jump", "diagonal", "length"]))
+    fault = data.draw(st.sampled_from(["none", "repeat", "jump", "diagonal", "length", "fraction"]))
     if fault == "length":
         pts = pts + [(pts[-1][0] + 1, pts[-1][1])] if data.draw(st.booleans()) else pts[:-1]
     elif fault != "none" and len(pts) > 1:
@@ -297,6 +303,8 @@ def test_validate_folding_errors_match_loop(pts, data):
         x, y = pts[j - 1]
         if fault == "repeat":
             pts[j] = pts[data.draw(st.integers(min_value=0, max_value=j - 1))]
+        elif fault == "fraction":
+            pts[j] = data.draw(st.sampled_from([(x + 0.5, y), (x, y - 0.25), (x + 1.9, y)]))
         elif fault == "jump":
             dx, dy = data.draw(st.sampled_from([(2, 0), (0, -3), (5, 7), (0, 0)]))
             pts[j] = (x + dx, y + dy)
@@ -317,10 +325,24 @@ def test_validate_folding_errors_match_loop(pts, data):
     [(0, 0), ("a", 0)],
     [(0, 0), (True, False)],
     [(0, 0), (0, 1)],
-], ids=["triple", "single", "scalar", "text", "bools", "valid"])
+    [(0, 0.5), ("a", 0)],
+], ids=["triple", "single", "scalar", "text", "bools", "valid", "fraction-then-text"])
 def test_validate_folding_coercion_matches_loop(points):
     chain = Chain("GC")
     assert _outcome(validate_folding, chain, points) == _outcome(loop_validate_folding, chain, points)
     # A one-shot iterator is read once, like a list.
     assert (_outcome(validate_folding, chain, iter(points))
             == _outcome(loop_validate_folding, chain, iter(points)))
+
+
+@pytest.mark.parametrize("points, point", [
+    ([(0, 0), (1.9, 0)], (1.9, 0)),
+    ([(0, 0), (0.4, 0.6)], (0.4, 0.6)),
+    ([[0, 0], [1, 0.5]], (1, 0.5)),
+], ids=["truncated-to-a-step", "truncated-to-a-repeat", "list"])
+def test_validate_folding_rejects_fractional_coordinates(points, point):
+    # int() would turn each into a valid step or a repeat of (0, 0).
+    with pytest.raises(FoldingValidationError) as caught:
+        validate_folding(Chain("GC"), points)
+    assert str(caught.value) == f"non-integer coordinate at index 2 (point {point})"
+    assert caught.value.index == 2

@@ -652,6 +652,7 @@ segment flex {q}
 def test_straightness_small_gadgets():
     assert verify_straightness("flex", 1)   # boundary case, recorded by search
     assert verify_straightness("flex", 2)
+    assert verify_straightness("flex", 3)   # 24 bases: STRAIGHTNESS_LIMIT
     assert verify_straightness("rigid", 1)
     with pytest.raises(ValueError):
         verify_straightness("flex", 4)

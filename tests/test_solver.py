@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 from wcfold.bounds import bounding_box_bound, gc_block_chain, mixed_block_chain, parity_bound
 from wcfold.model import Chain, parse_chain, validate_folding, score
 from wcfold.solver import LengthLimitError, exact_solve, optimal_score
-from wcfold.walks import canonical_moves, enumerate_walk_points
+from wcfold.walks import enumerate_walk_points
 
 from conftest import brute_force_optimum
+from test_walks import canonical_moves
 
 
 def test_block_chain_n4():

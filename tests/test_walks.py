@@ -1,11 +1,8 @@
+from itertools import accumulate
+
 import pytest
 
-from wcfold.walks import (
-    canonical_moves,
-    enumerate_walk_points,
-    moves_to_points,
-    points_to_moves,
-)
+from wcfold.walks import enumerate_walk_points, moves_to_points, points_to_moves
 
 # Self-avoiding walk counts on the square lattice, by number of steps.
 SAW_COUNTS = {1: 4, 2: 12, 3: 36, 4: 100, 5: 284, 6: 780, 7: 2172}
@@ -19,6 +16,26 @@ def is_straight(points) -> bool:
     xs = {p[0] for p in pts}
     ys = {p[1] for p in pts}
     return len(xs) == 1 or len(ys) == 1
+
+
+def canonical_moves(points) -> str:
+    """Move string of the walk's canonical symmetry representative.
+
+    Two walks are images of each other under the 8 lattice symmetries plus
+    translation exactly when their canonical move strings are equal: the
+    symmetry oracle for the enumeration and the solver's representatives.
+    """
+    pts = list(points)
+    steps = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:])]
+    if not steps:
+        return ""
+    dx, dy = steps[0]
+    # Rotate the first step onto +x, then mirror if the first turn is right.
+    steps = [(sx * dx + sy * dy, sy * dx - sx * dy) for sx, sy in steps]
+    if next((sy for _, sy in steps if sy), 1) == -1:
+        steps = [(sx, -sy) for sx, sy in steps]
+    return points_to_moves(
+        accumulate(steps, lambda p, s: (p[0] + s[0], p[1] + s[1]), initial=(0, 0)))
 
 
 def orbit_weight(points) -> int:

@@ -112,12 +112,16 @@ def validate_folding(chain: Chain, points) -> Folding:
     Every point is unpacked as a pair and each coordinate coerced with
     int(); ints, bools and integral floats pass.  Raises
     FoldingValidationError with the first offending 1-based index: a point
-    with a coordinate that int() changes (1.9, say), the later of a
-    repeated pair of points, or the point that is not one unit step from
-    its predecessor.
+    with a coordinate that int() changes (1.9, say) or cannot take (an
+    infinity), the later of a repeated pair of points, or the point that is
+    not one unit step from its predecessor.
     """
     raw = list(points)
-    ints = [(int(x), int(y)) for x, y in raw]
+    try:
+        ints = [(int(x), int(y)) for x, y in raw]
+    except OverflowError:
+        # None stands for an infinity, so it is named like a fraction.
+        ints = [(_int_or_none(x), _int_or_none(y)) for x, y in raw]
     # Tuple points whose coordinates int() keeps compare equal at once;
     # list points fall back to comparing the flat coordinates.
     if ints != raw and list(_chain.from_iterable(ints)) != list(_chain.from_iterable(raw)):
@@ -143,6 +147,14 @@ def _is_walk(pts: tuple[Point, ...]) -> bool:
     ys = list(map(itemgetter(1), pts))
     steps = zip(map(sub, xs[1:], xs), map(sub, ys[1:], ys))
     return len(set(pts)) == len(pts) and _UNIT_STEPS.issuperset(steps)
+
+
+def _int_or_none(v) -> int | None:
+    """int(v), or None where int() overflows (an infinity)."""
+    try:
+        return int(v)
+    except OverflowError:
+        return None
 
 
 def _raise_first_fraction(raw: list, ints: list[Point]) -> None:

@@ -9,12 +9,10 @@ Pruning uses an admissible upper bound on any completion of a partial walk.
 Nodes fall into eight classes, base (G, C, A, U) times index parity; X
 nodes never bond and sit in a ninth slot that the bound ignores.  The
 census avail[c] counts the available nodes of class c: the unplaced ones
-plus the placed ones that still have a free neighbouring cell.  Placing
-and unplacing a node keep it up to date.  The bound is
+plus the placed ones that still have a free neighbouring cell.  The bound is
 
-    matching_so_far + min(sum over the four complementary class pairs of
-                          min(avail[a], avail[b]),
-                          number of unplaced bondable nodes)
+    matching_so_far + min(cen, number of unplaced bondable nodes),
+    cen = sum over the four complementary class pairs of min(avail[a], avail[b])
 
 where a pair is G with C, or A with U, of opposite index parity.  Every
 bond of a completed folding either lies inside the placed part (counted by
@@ -22,6 +20,13 @@ the matching, which is maximum) or touches an unplaced node.  Such a bond
 joins two available nodes of a complementary pair, and the score is a
 matching, so no node takes part in two such bonds: the bound never
 underestimates.
+
+cen is a running sum, not recomputed per node.  A placement changes the
+census only by taking one from avail[a] when a node loses its last free
+cell, and undoing it only by adding that one back.  Taking one lowers
+min(avail[a], avail[b]) by one exactly when avail[a] <= avail[b] before the
+step; adding one raises it exactly when avail[a] < avail[b].  So one
+compare per step keeps cen equal to the sum.
 
 The search tree is partitioned by canonical prefixes at a fixed depth that
 depends only on the chain length, and subtree results merge associatively
@@ -50,6 +55,7 @@ reached only by a walk that improves the best.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 from dataclasses import dataclass
 
 from .bounds import bounding_box_bound
@@ -113,6 +119,32 @@ class SolveReport:
     seed: int | None
 
 
+@functools.lru_cache(maxsize=1)
+def _chain_tables(seq: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
+                                     tuple[tuple[bool, ...], ...]]:
+    """The read-only tables of a chain's search, built once for all its subtrees.
+
+    Returns (cls, census, nbond, bond), indexed by node (index 0 unused).
+    """
+    length = len(seq)
+    # cls[i]: (base code << 1) | parity of i for G/C/A/U, so class c pairs
+    # with c ^ 3.  X gets slot 8, whose partner slot 11 stays 0: X never
+    # moves cen.  census[c] counts the nodes of class c.
+    code = [4] + [_CODE[ch] for ch in seq]
+    cls = [8 if c == 4 else (c << 1) | (i & 1) for i, c in enumerate(code)]
+    census = [0] * 12
+    for c in cls[1:]:
+        census[c] += 1
+    # nbond[p]: number of bondable nodes with index > p.
+    nbond = [0] * (length + 1)
+    for p in range(length - 1, -1, -1):
+        nbond[p] = nbond[p + 1] + (cls[p + 1] != 8)
+    # bond[i][q]: nodes i and q can bond (complementary, not chain-adjacent).
+    bond = tuple(tuple(_COMP[code[i]][code[q]] and abs(i - q) != 1 for q in range(length + 1))
+                 for i in range(length + 1))
+    return tuple(cls), tuple(census), tuple(nbond), bond
+
+
 def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     """Search one canonical-prefix subtree.
 
@@ -126,27 +158,27 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     only walks that actually attain the best score are counted, so a seed
     equal to the optimum still yields the true count.  A pruned score-only
     search returns as soon as its best reaches the bounding-box bound.
+
+    place() replays the prefix.  Below it dfs(n) places node n + 1 inline,
+    in each free cell next to node n in turn, and undoes each placement in
+    reverse once its subtree is searched.  Node n never bonds with node
+    n + 1 (they are chain neighbours), and each of those cells is one of
+    n's free cells, so n loses one free cell once per dfs call, not per
+    placement.  A node placed by step d has node n at cell - d, so only the
+    three cells ahead are scanned, and the undo rescans them only when one
+    was occupied: a free cell had no free count to restore.
     """
     seq, prefix, prune, counting, seed, rep_cap = args
     length = len(seq)
     width = 2 * length + 1
     dirs4 = (width, 1, -width, -1)
-    dirs2 = dirs4[:2]
+    # (step d, the new cell's neighbours other than the predecessor's cell
+    # at -d, whether d leaves the x axis); a walk turns at its first y step.
+    steps4 = tuple((d, tuple(e for e in dirs4 if e != -d), d in (1, -1)) for d in dirs4)
+    steps2 = steps4[:2]
 
-    # cls[i]: (base code << 1) | parity of i for G/C/A/U; X gets slot 8,
-    # which the bound never reads.  avail[c] starts as the class census.
-    code = [4] + [_CODE[ch] for ch in seq]
-    cls = [8 if c == 4 else (c << 1) | (i & 1) for i, c in enumerate(code)]
-    avail = [0] * 9
-    for c in cls[1:]:
-        avail[c] += 1
-    # nbond[p]: number of bondable nodes with index > p.
-    nbond = [0] * (length + 1)
-    for p in range(length - 1, -1, -1):
-        nbond[p] = nbond[p + 1] + (cls[p + 1] != 8)
-    # bond[i][q]: nodes i and q can bond (complementary, not chain-adjacent).
-    bond = [[_COMP[code[i]][code[q]] and abs(i - q) != 1 for q in range(length + 1)]
-            for i in range(length + 1)]
+    cls, census, nbond, bond = _chain_tables(seq)
+    avail = list(census)
 
     occ = [0] * (width * width)
     pos = [0] * (length + 1)
@@ -173,12 +205,8 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
                 return True
         return False
 
-    def place(i: int, cell: int) -> int:
-        """Occupy cell with node i, update census/adjacency/matching.
-
-        Returns the undo-stack mark that unplace rolls back to, or -1 when
-        the matching did not grow.
-        """
+    def place(i: int, cell: int):
+        """Occupy cell with node i, update census/adjacency/matching."""
         nonlocal mu, stamp
         occ[cell] = i
         pos[i] = cell
@@ -202,34 +230,7 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
             avail[cls[i]] -= 1
         if adj_i:
             stamp += 1
-            mark = len(undo)
-            if try_node(i):
-                mu += 1
-                return mark
-        return -1
-
-    def unplace(i: int, mark: int):
-        nonlocal mu
-        if mark >= 0:
-            mu -= 1
-            for k in range(len(undo) - 2, mark - 2, -2):
-                match[undo[k]] = undo[k + 1]
-            del undo[mark:]
-        adj_i = adj[i]
-        if adj_i:
-            for q in adj_i:
-                adj[q].pop()
-            adj_i.clear()
-        if not free_cnt[i]:
-            avail[cls[i]] += 1
-        cell = pos[i]
-        for d in dirs4:
-            q = occ[cell + d]
-            if q:
-                if not free_cnt[q]:
-                    avail[cls[q]] += 1
-                free_cnt[q] += 1
-        occ[cell] = 0
+            mu += try_node(i)
 
     best = seed
     # Counting keeps walks that tie the best; score-only mode prunes ties.
@@ -240,8 +241,8 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     nodes_explored = 0
     pruned = 0
 
-    def dfs(n: int, turned: bool):
-        nonlocal best, count, nodes_explored, pruned
+    def dfs(n: int, steps):
+        nonlocal best, count, mu, stamp, cen, nodes_explored, pruned
         if n == length:
             if mu >= best:
                 if mu > best:
@@ -256,43 +257,108 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
             return
         base_cell = pos[n]
         i = n + 1
+        ci = cls[i]
+        cn = cls[n]
+        row = bond[i]
+        adj_i = adj[i]
         nb = nbond[i]
-        for d in dirs4 if turned else dirs2:
+        # Whichever cell node i takes is one of node n's free cells, so n
+        # loses it once for all of them.  Each census step moves cen as the
+        # module docstring says.
+        fn = free_cnt[n] - 1
+        free_cnt[n] = fn
+        if not fn:
+            a = avail[cn]
+            if a <= avail[cn ^ 3]:
+                cen -= 1
+            avail[cn] = a - 1
+        for d, ahead, turns in steps:
             cell = base_cell + d
             if occ[cell]:
                 continue
             nodes_explored += 1
-            mark = place(i, cell)
-            if prune:
-                # Parity-census bound: each future bond pairs one available
-                # node of a class with one of its opposite-parity complement.
-                x = avail[1]
-                y = avail[2]
-                b = x if x < y else y
-                x = avail[0]
-                y = avail[3]
-                b += x if x < y else y
-                x = avail[5]
-                y = avail[6]
-                b += x if x < y else y
-                x = avail[4]
-                y = avail[7]
-                b += x if x < y else y
-                if b > nb:
-                    b = nb
-                if mu + b < best + tie:
-                    pruned += 1
-                    unplace(i, mark)
-                    continue
-            dfs(i, turned or d == 1 or d == -1)
-            unplace(i, mark)
+            occ[cell] = i
+            pos[i] = cell
+            nfree = 3
+            for e in ahead:
+                q = occ[cell + e]
+                if q:
+                    nfree -= 1
+                    f = free_cnt[q] - 1
+                    free_cnt[q] = f
+                    if not f:
+                        c = cls[q]
+                        a = avail[c]
+                        if a <= avail[c ^ 3]:
+                            cen -= 1
+                        avail[c] = a - 1
+                    if row[q]:
+                        adj_i.append(q)
+                        adj[q].append(i)
+            free_cnt[i] = nfree
+            if not nfree:
+                a = avail[ci]
+                if a <= avail[ci ^ 3]:
+                    cen -= 1
+                avail[ci] = a - 1
+            grown = False
+            if adj_i:
+                stamp += 1
+                mark = len(undo)
+                if try_node(i):
+                    mu += 1
+                    grown = True
+
+            # Parity-census bound: each future bond pairs one available
+            # node of a class with one of its opposite-parity complement.
+            if prune and mu + (cen if cen < nb else nb) < best + tie:
+                pruned += 1
+            else:
+                dfs(i, steps4 if turns else steps)
+
+            # Undo in reverse.
+            if grown:
+                mu -= 1
+                for k in range(len(undo) - 2, mark - 2, -2):
+                    match[undo[k]] = undo[k + 1]
+                del undo[mark:]
+            if adj_i:
+                for q in adj_i:
+                    adj[q].pop()
+                adj_i.clear()
+            if not nfree:
+                a = avail[ci]
+                if a < avail[ci ^ 3]:
+                    cen += 1
+                avail[ci] = a + 1
+            if nfree < 3:  # some cell ahead is occupied
+                for e in ahead:
+                    q = occ[cell + e]
+                    if q:
+                        f = free_cnt[q]
+                        if not f:
+                            c = cls[q]
+                            a = avail[c]
+                            if a < avail[c ^ 3]:
+                                cen += 1
+                            avail[c] = a + 1
+                        free_cnt[q] = f + 1
+            occ[cell] = 0
+        if not fn:
+            a = avail[cn]
+            if a < avail[cn ^ 3]:
+                cen += 1
+            avail[cn] = a + 1
+        free_cnt[n] = fn + 1
 
     # Replay the prefix, then search below it; a walk has turned once it
     # leaves the x axis.
     for k, (x, y) in enumerate(prefix, start=1):
         place(k, (length + x) * width + (length + y))
+    # cen: sum over the four complementary class pairs of min(avail[a], avail[b]).
+    cen = sum(min(avail[c], avail[c ^ 3]) for c in (0, 1, 4, 5))
     try:
-        dfs(len(prefix), any(y for _, y in prefix))
+        dfs(len(prefix), steps4 if any(y for _, y in prefix) else steps2)
     except _Stop:
         pass
 

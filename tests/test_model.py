@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -255,7 +256,9 @@ def loop_validate_folding(chain, points):
     """validate_folding as one Python loop over every point: the reference
     for which error, message and index the set-based checks must give."""
     raw = list(points)
-    pts = tuple((int(x), int(y)) for x, y in raw)
+    # An infinity, which int() cannot take, is named like a fraction.
+    pts = tuple(tuple(None if isinstance(v, float) and math.isinf(v) else int(v) for v in (x, y))
+                for x, y in raw)
     for i, ((x, y), pt) in enumerate(zip(raw, pts), start=1):
         if pt != (x, y):
             raise FoldingValidationError(
@@ -295,7 +298,8 @@ def _outcome(validate, chain, points):
 @settings(max_examples=200, deadline=None)
 def test_validate_folding_errors_match_loop(pts, data):
     chain = Chain("G" * len(pts))
-    fault = data.draw(st.sampled_from(["none", "repeat", "jump", "diagonal", "length", "fraction"]))
+    fault = data.draw(st.sampled_from(
+        ["none", "repeat", "jump", "diagonal", "length", "fraction", "infinite"]))
     if fault == "length":
         pts = pts + [(pts[-1][0] + 1, pts[-1][1])] if data.draw(st.booleans()) else pts[:-1]
     elif fault != "none" and len(pts) > 1:
@@ -305,6 +309,8 @@ def test_validate_folding_errors_match_loop(pts, data):
             pts[j] = pts[data.draw(st.integers(min_value=0, max_value=j - 1))]
         elif fault == "fraction":
             pts[j] = data.draw(st.sampled_from([(x + 0.5, y), (x, y - 0.25), (x + 1.9, y)]))
+        elif fault == "infinite":
+            pts[j] = data.draw(st.sampled_from([(math.inf, y), (x, -math.inf)]))
         elif fault == "jump":
             dx, dy = data.draw(st.sampled_from([(2, 0), (0, -3), (5, 7), (0, 0)]))
             pts[j] = (x + dx, y + dy)
@@ -339,10 +345,14 @@ def test_validate_folding_coercion_matches_loop(points):
     ([(0, 0), (1.9, 0)], (1.9, 0)),
     ([(0, 0), (0.4, 0.6)], (0.4, 0.6)),
     ([[0, 0], [1, 0.5]], (1, 0.5)),
-], ids=["truncated-to-a-step", "truncated-to-a-repeat", "list"])
+    ([(0, 0), (math.inf, 0)], (math.inf, 0)),
+    ([(0, 0), (-math.inf, 0)], (-math.inf, 0)),
+], ids=["truncated-to-a-step", "truncated-to-a-repeat", "list", "inf", "-inf"])
 def test_validate_folding_rejects_fractional_coordinates(points, point):
-    # int() would turn each into a valid step or a repeat of (0, 0).
+    # int() would turn each fraction into a valid step or a repeat of
+    # (0, 0), and raises OverflowError on an infinity.
     with pytest.raises(FoldingValidationError) as caught:
         validate_folding(Chain("GC"), points)
     assert str(caught.value) == f"non-integer coordinate at index 2 (point {point})"
     assert caught.value.index == 2
+

@@ -1,11 +1,14 @@
 import concurrent.futures
 import itertools
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcfold.bounds import bounding_box_bound, gc_block_chain, mixed_block_chain, parity_bound
-from wcfold.model import Chain, parse_chain, validate_folding, score
+from wcfold.matching import maximum_bipartite_matching
+from wcfold.model import Chain, Folding, contact_graph, parse_chain, validate_folding, score
 from wcfold.solver import LengthLimitError, exact_solve, optimal_score
 from wcfold.walks import enumerate_walk_points
 
@@ -181,6 +184,97 @@ def test_search_shape_is_pinned(seq, count, expected):
     report = exact_solve(parse_chain(seq), count=count)
     got = (report.optimal_score, report.optimal_count, report.nodes_explored, report.pruned)
     assert got == expected
+
+
+# The solver's step order; a canonical walk takes only the first two before
+# its first turn.
+STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+class _Done(Exception):
+    """The reference search reached the bounding-box bound."""
+
+
+def reference_search(seq, count):
+    """The documented pruned search, with its state recomputed at every
+    placement.
+
+    After each placement the matching is a fresh maximum matching on the
+    placed nodes' contact graph, and the census is recounted: a bondable
+    node is available when it is unplaced or has a free neighbouring cell.
+    The bound, the tie rule and the score-only stop are those of the
+    wcfold.solver docstring.  Only for 12 bases or fewer: then the one
+    subtree hangs below the prefix (0, 0), (1, 0) and starts from nothing.
+    Returns (optimal_score, optimal_count, every optimal folding's points,
+    nodes_explored, pruned).
+    """
+    assert len(seq) <= 12
+    length = len(seq)
+    tie = 0 if count else 1
+    stop = None if count else bounding_box_bound(length)
+    prefix = [(0, 0), (1, 0)][:length]
+    best, found, reps, nodes, pruned = -1, 0, [], len(prefix), 0
+
+    def matched(pts):
+        placed = contact_graph(Chain(seq[:len(pts)]), Folding(tuple(pts)))
+        return len(maximum_bipartite_matching(placed))
+
+    def census(pts):
+        """sum over the complementary class pairs of min(avail[a], avail[b])."""
+        occupied = set(pts)
+        avail = Counter((base, j % 2) for j, base in enumerate(seq, start=1)
+                        if j > len(pts) or not occupied.issuperset(
+                            (pts[j - 1][0] + dx, pts[j - 1][1] + dy) for dx, dy in STEPS))
+        return sum(min(avail[a, p], avail[b, 1 - p]) for a, b in ("GC", "AU") for p in (0, 1))
+
+    def search(pts, turned, mu):
+        nonlocal best, found, nodes, pruned
+        if len(pts) == length:
+            if mu >= best:
+                if mu > best:
+                    best, found, reps[:] = mu, 0, []
+                found += 1
+                reps.append(tuple(pts))
+                if best == stop:
+                    raise _Done
+            return
+        x, y = pts[-1]
+        for dx, dy in STEPS if turned else STEPS[:2]:
+            nxt = pts + [(x + dx, y + dy)]
+            if nxt[-1] in pts:
+                continue
+            nodes += 1
+            bonds = matched(nxt)
+            unplaced = len(seq[len(nxt):].replace("X", ""))
+            if bonds + min(census(nxt), unplaced) < best + tie:
+                pruned += 1
+            else:
+                search(nxt, turned or dy != 0, bonds)
+
+    try:
+        search(prefix, False, matched(prefix))
+    except _Done:
+        pass
+    return best, found if count else None, tuple(reps), nodes, pruned
+
+
+def _reference_chains():
+    rng = random.Random(20261019)
+    mixed = ["".join(rng.choice("GCAUX") for _ in range(rng.randint(1, 10))) for _ in range(40)]
+    gc = ["".join(c) for n in range(1, 9) for c in itertools.product("GC", repeat=n)]
+    return gc + mixed
+
+
+@pytest.mark.parametrize("count", [True, False])
+def test_search_matches_a_from_scratch_reference(count):
+    # Node for node: the incremental census, matching and undo must leave
+    # the search exactly where recomputing everything would.
+    for seq in _reference_chains():
+        report = exact_solve(Chain(seq), count=count, representative_cap=None)
+        got = (report.optimal_score, report.optimal_count,
+               tuple(rep.points for rep in report.representatives),
+               report.nodes_explored, report.pruned)
+        assert got == reference_search(seq, count), seq
 
 
 def test_worker_determinism_small():

@@ -115,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_approx.add_argument("--folding-out", metavar="FILE", default=None)
     p_approx.add_argument("--exact", action="store_true",
                           help="also report the exact optimum (small chains)")
-    p_approx.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
+    # --exact only; None tells an omitted flag from a given one.
+    p_approx.add_argument("--max-length", type=int, default=None)
     _common_flags(p_approx)
 
     p_reduce = sub.add_parser("reduce", help="compile a routed SAT layout")
@@ -163,6 +164,7 @@ def _assignment_tag(assignment: dict[str, bool]) -> str:
 
 
 def _cmd_solve(args) -> tuple[ResultDocument | None, int]:
+    _require_at_least("--max-length", args.max_length, 1)
     _require_at_least("--workers", args.workers, 1)
     _require_at_least("--representatives", args.representatives, 0)
     chain = _read_sequence(args.sequence)
@@ -243,6 +245,10 @@ def _cmd_gen(args) -> tuple[ResultDocument | None, int]:
 
 
 def _cmd_approx(args) -> tuple[ResultDocument | None, int]:
+    if args.max_length is not None and not args.exact:
+        raise ValueError("--max-length applies only to --exact")
+    max_length = DEFAULT_MAX_LENGTH if args.max_length is None else args.max_length
+    _require_at_least("--max-length", max_length, 1)
     chain = _read_sequence(args.sequence)
     plan = approx_mod.plan_fold(chain)
     folding, achieved = approx_mod.build_folding(chain, plan)
@@ -258,7 +264,7 @@ def _cmd_approx(args) -> tuple[ResultDocument | None, int]:
     doc.outputs["bound_parity"] = bounds.parity_bound(chain)
     doc.outputs["folding_moves"] = points_to_moves(folding.points)
     if args.exact:
-        doc.outputs["optimal"] = optimal_score(chain, max_length=args.max_length)
+        doc.outputs["optimal"] = optimal_score(chain, max_length=max_length)
     if args.folding_out:
         write_folding_file(args.folding_out, folding, comment=f"approx {chain.seq}")
         doc.outputs["folding_file"] = args.folding_out

@@ -3,7 +3,9 @@
 Kuhn's augmenting-path algorithm.  Node labels are chain indices; every edge
 must join an odd and an even index, which is exactly the structure contact
 graphs have on the square lattice.  Iteration order is fixed (sorted nodes,
-sorted adjacency) so the returned matching is deterministic.
+sorted adjacency) so the returned matching is deterministic.  The partner
+and visited marks are flat lists indexed by label, so labels must be
+non-negative.
 """
 
 from __future__ import annotations
@@ -18,27 +20,30 @@ def maximum_bipartite_matching(edges: Iterable[tuple[int, int]]) -> set[tuple[in
     for i, j in edges:
         if (i + j) % 2 == 0:
             raise ValueError(f"edge {(i, j)} does not join opposite parities")
+        if i < 0 or j < 0:
+            raise ValueError(f"edge {(i, j)} has a negative node label")
         odd, even = (i, j) if i % 2 else (j, i)
         adj[odd].append(even)
     for nbrs in adj.values():
         nbrs.sort()
+    size = max(max(adj, default=0), max((nbrs[-1] for nbrs in adj.values()), default=0)) + 1
+    match = [-1] * size  # partner of each label, both directions; -1: free
+    visited = [0] * size  # visited[v] == root: v was reached from that odd root
 
-    match: dict[int, int] = {}  # both directions
-
-    def try_augment(u: int, visited: set[int]) -> bool:
+    def try_augment(u: int, root: int) -> bool:
         for v in adj[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            w = match.get(v)
-            if w is None or try_augment(w, visited):
-                match[v] = u
-                match[u] = v
-                return True
+            if visited[v] != root:
+                visited[v] = root
+                w = match[v]
+                if w < 0 or try_augment(w, root):
+                    match[v] = u
+                    match[u] = v
+                    return True
         return False
 
-    for u in sorted(adj):
-        if u not in match:
-            try_augment(u, set())
-
-    return {(min(u, v), max(u, v)) for u, v in match.items() if u < v}
+    # An odd node is matched only on a path from an earlier root, so each
+    # root starts free; roots are odd, never 0, so no mark is ever cleared.
+    odds = sorted(adj)
+    for u in odds:
+        try_augment(u, u)
+    return {(u, v) if u < v else (v, u) for u in odds if (v := match[u]) >= 0}

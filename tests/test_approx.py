@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from wcfold.approx import (
     FoldPlan,
     ScopeError,
     _relabel_as,
-    _sweep_role,
+    _fold_role,
     approx_fold,
     build_folding,
     choose_fold_point,
@@ -102,18 +103,46 @@ def _reference_fold_point(relabeled):
 
 
 def _assert_sweep_matches_reference(seq):
+    """Check both branches against the quadratic sweep; return how many of
+    their role searches met a one-edge interval (the innermost pair
+    dropped) and how many had M = 0, with M counted by a linear scan."""
+    drops = empty = 0
     for branch in (BRANCH_ODDG_EVENC, BRANCH_EVENG_ODDC):
         relabeled = _relabel_as(Chain(seq), branch)
         assert choose_fold_point(relabeled) == _reference_fold_point(relabeled), (seq, branch)
+        odd1, even1 = relabeled.odd_one_positions, relabeled.even_one_positions
+        for left, right in ((odd1, even1), (even1, odd1)):
+            m = sum(map(operator.lt, left, reversed(right)))
+            drop = m > 0 and left[m - 1] + 1 == right[-m]
+            if len(seq) >= 2:
+                assert _fold_role(left, right, len(seq))[0] == m - drop, (seq, branch)
+            drops += drop
+            empty += m == 0
+    return drops, empty
 
 
 def test_fold_point_matches_quadratic_sweep_exhaustive():
+    drops = empty = 0
     for length in range(1, 13):
         for combo in itertools.product("GC", repeat=length):
-            _assert_sweep_matches_reference("".join(combo))
+            d, e = _assert_sweep_matches_reference("".join(combo))
+            drops += d
+            empty += e
+    # Both closed-form special cases are reached, not just the plain interval.
+    assert drops > 0 and empty > 0, (drops, empty)
 
 
-@given(st.text(alphabet="GC", min_size=13, max_size=200))
+@st.composite
+def _skewed_gc_chains(draw):
+    """A G/C chain of 13-400 bases whose G share is drawn too, so runs of
+    one base, and the special cases they cause, are common."""
+    share = draw(st.floats(min_value=0.0, max_value=1.0))
+    length = draw(st.integers(min_value=13, max_value=400))
+    rng = draw(st.randoms(use_true_random=False))
+    return "".join("G" if rng.random() < share else "C" for _ in range(length))
+
+
+@given(_skewed_gc_chains())
 @settings(max_examples=100, deadline=None)
 def test_fold_point_matches_quadratic_sweep_random(seq):
     _assert_sweep_matches_reference(seq)
@@ -193,30 +222,37 @@ def test_approx_valid_on_random_chains(seq):
     assert achieved >= pair_floor_guarantee(relabel(chain))
 
 
-def _sweep_steps(seq):
-    """The steps of both side-role passes that choose_fold_point makes."""
-    rl = relabel(Chain(seq))
-    odd1, even1 = rl.odd_one_positions, rl.even_one_positions
-    return sum(_sweep_role(left, right, len(seq))[-1]
-               for left, right in ((odd1, even1), (even1, odd1)))
+def _fold_probes(seq):
+    """The comparisons of the four role searches that plan_fold makes."""
+    probes = 0
+    for branch in (BRANCH_ODDG_EVENC, BRANCH_EVENG_ODDC):
+        rl = _relabel_as(Chain(seq), branch)
+        odd1, even1 = rl.odd_one_positions, rl.even_one_positions
+        for left, right in ((odd1, even1), (even1, odd1)):
+            probes += _fold_role(left, right, len(seq))[-1]
+    return probes
 
 
 def test_approx_linear_operation_growth():
-    """The fold-point sweep counts the fold edges it visits and the pointer
-    advances it makes: fewer than 4L in all, and doubling the chain (by
-    repeating it, which doubles every class count) at most doubles them,
-    plus a constant."""
+    """Planning counts the comparisons its binary searches make: at most
+    (L // 2).bit_length() per role search, four searches per plan, and
+    doubling the chain (by repeating it, which doubles every class count)
+    adds at most two per search.  The search is logarithmic in L, so
+    relabelling, listing the pairs and the construction, all linear, set
+    approx_fold's cost."""
     rng = random.Random(2)
     seeds = ["GC" * 32, "G" * 32 + "C" * 32, "GGCC" * 16, "G" * 64,
              "".join(rng.choice("GC") for _ in range(64))]
     for seq in seeds:
-        steps = []
+        probes = []
         for _ in range(7):  # 64 .. 4096 bases
-            steps.append(_sweep_steps(seq))
-            assert steps[-1] < 4 * len(seq), seq[:8]
+            probes.append(_fold_probes(seq))
+            assert probes[-1] <= 4 * (len(seq) // 2).bit_length(), seq[:8]
             seq += seq
-        for prev, cur in zip(steps, steps[1:]):
-            assert cur <= 2 * prev + 4
+        for prev, cur in zip(probes, probes[1:]):
+            assert cur <= prev + 8
+        # Every seed but the all-G one has pairs to search for.
+        assert probes[0] > 0 or "C" not in seq, seq[:8]
 
 
 def test_approx_scope_error():

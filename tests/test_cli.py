@@ -348,7 +348,14 @@ def test_verify_gadget_not_straight_exit_code(capsys, monkeypatch):
     (("gen", "mixed", "4"), "gen mixed needs two numbers: m n"),
     (("gen", "mixed", "-2", "4"), "m and n must be at least 0, got m=-2, n=4"),
     (("verify",), "verify needs a layout file or --gadget"),
-], ids=["assign-value", "gen-mixed-one-number", "gen-mixed-negative", "verify-nothing"])
+    (("solve", "GGCC", "--max-length", "-1"), "--max-length must be at least 1, got -1"),
+    (("solve", "GGCC", "--max-length", "0"), "--max-length must be at least 1, got 0"),
+    (("approx", "GGCC", "--max-length", "1"), "--max-length applies only to --exact"),
+    (("approx", "GGCC", "--exact", "--max-length", "0"),
+     "--max-length must be at least 1, got 0"),
+], ids=["assign-value", "gen-mixed-one-number", "gen-mixed-negative", "verify-nothing",
+        "solve-max-length-negative", "solve-max-length-zero", "approx-max-length-no-exact",
+        "approx-max-length-zero"])
 def test_usage_error_paths(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "single_clause.layout").write_text(bundled_layout_text("single_clause"))
@@ -356,6 +363,16 @@ def test_usage_error_paths(capsys, monkeypatch, tmp_path, argv, message):
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_approx_exact_honours_max_length(capsys):
+    code, out, _ = run_cli(capsys, "approx", "GGCC", "--exact", "--max-length", "4")
+    assert code == 0
+    assert "output.optimal: 1" in out
+    code, out, err = run_cli(capsys, "approx", "GGCC", "--exact", "--max-length", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "limit 3" in err
 
 
 def test_gen_mixed_rejects_emit_folding(capsys, tmp_path):

@@ -128,8 +128,8 @@ def _fold_role(
 def choose_fold_point(relabeled: RelabeledChain) -> FoldPlan:
     """The fold edge and side-role assignment with the most pairs.
 
-    Ties prefer the fold edge closest to the middle of the chain, then the
-    smaller edge, then odd-1 on the left arm.  Each role's best edge comes
+    Ties prefer the fold edge closest to the middle of the chain, then
+    odd-1 on the left arm, then the smaller edge.  Each role's best edge comes
     from a binary search over its position lists (_fold_role), no sweep
     over the edges; the keys (pairs, -|2f-L|, role preference) of the two
     roles never tie, so the better of the two per-role bests is the best
@@ -155,23 +155,17 @@ def choose_fold_point(relabeled: RelabeledChain) -> FoldPlan:
     )
 
 
-def plan_fold(chain: Chain) -> FoldPlan:
-    """The plan approx_fold builds: both relabel branches are swept and the
-    one with more pairs wins (the census-preferred branch on ties).
+def plan_fold(preferred: RelabeledChain) -> FoldPlan:
+    """The plan approx_fold builds from relabel(chain): of the two relabel
+    branches, the one with more pairs wins (the census-preferred on ties).
 
     This costs nothing asymptotically and guarantees a bond whenever any
     folding of the chain has one, which the single census-chosen branch
     does not: its only pairing can be a chain-adjacent, unbondable pair.
     """
-    preferred = relabel(chain)
-    other = _relabel_as(
-        chain,
-        BRANCH_EVENG_ODDC
-        if preferred.branch == BRANCH_ODDG_EVENC
-        else BRANCH_ODDG_EVENC,
-    )
+    other = BRANCH_EVENG_ODDC if preferred.branch == BRANCH_ODDG_EVENC else BRANCH_ODDG_EVENC
     plan = choose_fold_point(preferred)
-    alt = choose_fold_point(other)
+    alt = choose_fold_point(_relabel_as(preferred.chain, other))
     if len(alt.matched_pairs) > len(plan.matched_pairs):
         return alt
     return plan
@@ -196,7 +190,7 @@ def approx_fold(chain: Chain) -> tuple[Folding, int]:
     score).  The score is at least the number of matched pairs, which is at
     least floor(min(#odd-1, #even-1) / 2).
     """
-    return build_folding(chain, plan_fold(chain))
+    return build_folding(chain, plan_fold(relabel(chain)))
 
 
 def build_folding(chain: Chain, plan: FoldPlan) -> tuple[Folding, int]:

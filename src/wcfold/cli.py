@@ -89,8 +89,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("sequence", help="sequence text or file path")
     p_solve.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH)
     p_solve.add_argument("--workers", type=int, default=1)
-    p_solve.add_argument("--all-optima", action="store_true")
-    p_solve.add_argument("--representatives", type=int, default=DEFAULT_REPRESENTATIVE_CAP)
+    cap = p_solve.add_mutually_exclusive_group()
+    cap.add_argument("--all-optima", action="store_true")
+    # argparse converts a str default only when the flag is absent, so even an
+    # explicit --representatives 16 conflicts with --all-optima.
+    cap.add_argument("--representatives", type=int, default=str(DEFAULT_REPRESENTATIVE_CAP))
     p_solve.add_argument("--no-prune", action="store_true", help="disable bound pruning")
     _common_flags(p_solve)
 
@@ -250,7 +253,8 @@ def _cmd_approx(args) -> tuple[ResultDocument | None, int]:
     max_length = DEFAULT_MAX_LENGTH if args.max_length is None else args.max_length
     _require_at_least("--max-length", max_length, 1)
     chain = _read_sequence(args.sequence)
-    plan = approx_mod.plan_fold(chain)
+    relabeled = approx_mod.relabel(chain)
+    plan = approx_mod.plan_fold(relabeled)
     folding, achieved = approx_mod.build_folding(chain, plan)
     doc = ResultDocument(command="approx")
     doc.inputs["sequence"] = chain.seq
@@ -259,8 +263,7 @@ def _cmd_approx(args) -> tuple[ResultDocument | None, int]:
     doc.outputs["branch"] = plan.branch
     doc.outputs["fold_index"] = plan.fold_index
     doc.outputs["matched_pairs"] = len(plan.matched_pairs)
-    doc.outputs["pair_floor_guarantee"] = approx_mod.pair_floor_guarantee(
-        approx_mod.relabel(chain))
+    doc.outputs["pair_floor_guarantee"] = approx_mod.pair_floor_guarantee(relabeled)
     doc.outputs["bound_parity"] = bounds.parity_bound(chain)
     doc.outputs["folding_moves"] = points_to_moves(folding.points)
     if args.exact:
@@ -286,11 +289,10 @@ def _cmd_reduce(args) -> tuple[ResultDocument | None, int]:
     # Trace every assignment first: a bad one fails before any file is written.
     foldings = {_assignment_tag(a): instance.intended_folding(a) for a in assignments}
     if args.out_prefix:
-        prefix = Path(args.out_prefix)
-        seq_path = prefix.with_suffix(".seq")
+        seq_path = Path(f"{args.out_prefix}.seq")
         seq_path.write_text(instance.chain.seq + "\n")
         doc.outputs["sequence_file"] = str(seq_path)
-        meta_path = prefix.with_suffix(".meta")
+        meta_path = Path(f"{args.out_prefix}.meta")
         meta_path.write_text(doc.to_text())
         doc.outputs["metadata_file"] = str(meta_path)
         for tag, folding in foldings.items():
@@ -329,6 +331,8 @@ def _cmd_verify(args) -> tuple[ResultDocument | None, int]:
 
 
 def _cmd_render(args) -> tuple[ResultDocument | None, int]:
+    if not args.out and args.format == "structured":
+        raise ValueError("render --format structured needs --out")
     chain = _read_sequence(args.sequence)
     points = read_folding_points(args.folding)
     folding = validate_folding(chain, points)

@@ -119,13 +119,12 @@ def validate_folding(chain: Chain, points) -> Folding:
     raw = list(points)
     try:
         ints = [(int(x), int(y)) for x, y in raw]
-    except OverflowError:
-        # None stands for an infinity, so it is named like a fraction.
-        ints = [(_int_or_none(x), _int_or_none(y)) for x, y in raw]
+    except OverflowError:  # an infinity
+        _raise_first_fraction(raw)
     # Tuple points whose coordinates int() keeps compare equal at once;
     # list points fall back to comparing the flat coordinates.
     if ints != raw and list(_chain.from_iterable(ints)) != list(_chain.from_iterable(raw)):
-        _raise_first_fraction(raw, ints)
+        _raise_first_fraction(raw)
     pts = tuple(ints)
     if len(pts) != len(chain):
         raise FoldingValidationError(
@@ -149,19 +148,15 @@ def _is_walk(pts: tuple[Point, ...]) -> bool:
     return len(set(pts)) == len(pts) and _UNIT_STEPS.issuperset(steps)
 
 
-def _int_or_none(v) -> int | None:
-    """int(v), or None where int() overflows (an infinity)."""
-    try:
-        return int(v)
-    except OverflowError:
-        return None
-
-
-def _raise_first_fraction(raw: list, ints: list[Point]) -> None:
-    """Raise FoldingValidationError for the first point of raw that int()
-    changed on its way into ints."""
-    for i, ((x, y), pt) in enumerate(zip(raw, ints), start=1):
-        if pt != (x, y):
+def _raise_first_fraction(raw: list) -> None:
+    """Raise FoldingValidationError for the first point of raw with a
+    coordinate that int() changes or cannot take (an infinity)."""
+    for i, (x, y) in enumerate(raw, start=1):
+        try:
+            changed = (int(x), int(y)) != (x, y)
+        except OverflowError:
+            changed = True
+        if changed:
             raise FoldingValidationError(
                 f"non-integer coordinate at index {i} (point {(x, y)})", i
             )

@@ -55,12 +55,11 @@ reached only by a walk that improves the best.
 from __future__ import annotations
 
 import concurrent.futures
-import functools
 from dataclasses import dataclass
 
 from .bounds import bounding_box_bound
 from .model import Chain, Folding, Point, complementary
-from .walks import enumerate_walk_points
+from .walks import DIRS, enumerate_walk_points
 
 DEFAULT_MAX_LENGTH = 20
 DEFAULT_REPRESENTATIVE_CAP = 16
@@ -119,10 +118,10 @@ class SolveReport:
     seed: int | None
 
 
-@functools.lru_cache(maxsize=1)
 def _chain_tables(seq: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
                                      tuple[tuple[bool, ...], ...]]:
-    """The read-only tables of a chain's search, built once for all its subtrees.
+    """The read-only tables of a chain's search, which exact_solve builds
+    once and hands to every subtree search.
 
     Returns (cls, census, nbond, bond), indexed by node (index 0 unused).
     """
@@ -148,10 +147,11 @@ def _chain_tables(seq: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int
 def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     """Search one canonical-prefix subtree.
 
-    prefix is the subtree's canonical prefix as lattice points.  The search
-    runs on a grid whose cell for point (x, y) is (L + x) * width + (L + y),
-    wide enough that no walk from the origin leaves it; the prefix is
-    encoded onto it here and the representatives decoded back to points.
+    The tables are the chain's _chain_tables, and prefix is the subtree's
+    canonical prefix as lattice points.  The search runs on a grid whose
+    cell for point (x, y) is (L + x) * width + (L + y), wide enough that no
+    walk from the origin leaves it; the prefix is encoded onto it here and
+    the representatives decoded back to points.
 
     Returns (best, count_at_best, representatives, nodes, pruned).
     Counting starts at the seed score (-1 when there is none) with count 0:
@@ -168,16 +168,15 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     three cells ahead are scanned, and the undo rescans them only when one
     was occupied: a free cell had no free count to restore.
     """
-    seq, prefix, prune, counting, seed, rep_cap = args
-    length = len(seq)
+    (cls, census, nbond, bond), prefix, prune, counting, seed, rep_cap = args
+    length = len(cls) - 1
     width = 2 * length + 1
-    dirs4 = (width, 1, -width, -1)
+    dirs4 = tuple(dx * width + dy for dx, dy in DIRS)
     # (step d, the new cell's neighbours other than the predecessor's cell
     # at -d, whether d leaves the x axis); a walk turns at its first y step.
     steps4 = tuple((d, tuple(e for e in dirs4 if e != -d), d in (1, -1)) for d in dirs4)
     steps2 = steps4[:2]
 
-    cls, census, nbond, bond = _chain_tables(seq)
     avail = list(census)
 
     occ = [0] * (width * width)
@@ -398,7 +397,7 @@ def exact_solve(
     if length > max_length:
         raise LengthLimitError(length, max_length)
 
-    seq = chain.seq
+    tables = _chain_tables(chain.seq)
     prefixes = _prefixes(length)
     cap = bounding_box_bound(length)
     # The probe (see the module docstring); nothing beats the cap.
@@ -408,7 +407,7 @@ def exact_solve(
         for prefix in prefixes[:_PROBE_SUBTREES]:
             if seed == cap:
                 break
-            probe.append(_solve_subtree((seq, prefix, True, False, seed, representative_cap)))
+            probe.append(_solve_subtree((tables, prefix, True, False, seed, representative_cap)))
             seed = probe[-1][0]
 
     if count:
@@ -417,7 +416,7 @@ def exact_solve(
         todo = []  # a pruned score-only search that reached the cap is done
     else:
         todo = prefixes[len(probe):]  # the probe's results stand for its subtrees
-    args = [(seq, prefix, prune, count, seed, representative_cap) for prefix in todo]
+    args = [(tables, prefix, prune, count, seed, representative_cap) for prefix in todo]
     if workers > 1 and len(args) > 1:
         # The pool forks every worker it is given; past one per subtree they sit idle.
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:

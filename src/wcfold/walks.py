@@ -37,7 +37,7 @@ def enumerate_walk_points(length: int) -> Iterator[tuple[Point, ...]]:
             return
         x, y = path[-1]
         # Until the first turn the walk may only go straight or turn left.
-        candidates = DIRS if turned else ((1, 0), (0, 1))
+        candidates = DIRS if turned else DIRS[:2]
         for dx, dy in candidates:
             nxt = (x + dx, y + dy)
             if nxt in occupied:

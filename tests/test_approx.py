@@ -151,12 +151,12 @@ def test_fold_point_matches_quadratic_sweep_random(seq):
 def test_plan_fold_is_what_approx_fold_builds():
     for seq in ["CCGG", "GGGGCCCC", "GCGCGCGCGC", "CCCGGG"]:
         chain = Chain(seq)
-        plan = plan_fold(chain)
+        plan = plan_fold(relabel(chain))
         built, achieved = build_folding(chain, plan)
         assert (built, achieved) == approx_fold(chain)
         assert achieved >= len(plan.matched_pairs)
     # CCGG: the census prefers oddG/evenC, whose only pair is chain-adjacent
-    plan = plan_fold(Chain("CCGG"))
+    plan = plan_fold(relabel(Chain("CCGG")))
     assert relabel(Chain("CCGG")).branch == BRANCH_ODDG_EVENC
     assert plan.branch == BRANCH_EVENG_ODDC
     assert plan.matched_pairs == ((1, 4),)

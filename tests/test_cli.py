@@ -160,12 +160,13 @@ def test_approx_reports_the_plan_it_built(capsys):
     assert outputs["matched_pairs"] == "1"
     assert outputs["achieved"] == "1"
     seqs = ["".join(c) for n in range(2, 11) for c in itertools.product("GC", repeat=n)]
-    other_branch = [s for s in seqs if plan_fold(Chain(s)).branch != relabel(Chain(s)).branch]
+    other_branch = [s for s in seqs
+                    if plan_fold(relabel(Chain(s))).branch != relabel(Chain(s)).branch]
     assert "CCGG" in other_branch and "GGCC" not in other_branch
     for seq in other_branch + ["GGGGCCCC", "GCGCGCGCGC"]:
         chain = Chain(seq)
         outputs = _approx_outputs(capsys, seq)
-        plan = plan_fold(chain)
+        plan = plan_fold(relabel(chain))
         folding, achieved = build_folding(chain, plan)
         assert int(outputs["matched_pairs"]) <= int(outputs["achieved"]), seq
         assert (outputs["branch"], int(outputs["fold_index"]), int(outputs["matched_pairs"])) \
@@ -223,6 +224,17 @@ def test_rejects_out_of_range_counts(capsys, argv, message):
     assert err == f"error: {message}\n"
 
 
+def test_approx_relabels_once(capsys, monkeypatch):
+    calls = []
+    real = approx.relabel
+    monkeypatch.setattr(approx, "relabel", lambda chain: calls.append(chain) or real(chain))
+    outputs = _approx_outputs(capsys, "GGGGCGGGG")
+    assert calls == [Chain("GGGGCGGGG")]
+    # Edges 4 and 5 each take one pair and are equally close to the middle;
+    # odd-1 on the left arm puts the fold at 5 before the smaller edge counts.
+    assert (outputs["fold_index"], outputs["matched_pairs"]) == ("5", "1")
+
+
 def test_render_ascii(capsys, tmp_path):
     fold = tmp_path / "f4.fold"
     run_cli(capsys, "gen", "sn", "4", "--emit-folding", str(fold))
@@ -264,6 +276,37 @@ def test_reduce_and_verify(capsys, tmp_path):
     assert code == 3
     assert "output.meets_k: false" in out
     assert VERIFICATION_FAILED_ERR.fullmatch(err)
+
+
+def test_reduce_dotted_out_prefix_names_every_file_after_it(capsys, tmp_path):
+    # Each run keeps its own files: run.2 does not overwrite run.1's .seq/.meta.
+    layout = tmp_path / "fixture.layout"
+    layout.write_text(bundled_layout_text("single_clause"))
+    for run in ("run.1", "run.2"):
+        prefix = tmp_path / run
+        code, out, _ = run_cli(capsys, "reduce", str(layout), "--out-prefix", str(prefix),
+                               "--assign", "x=true")
+        assert code == 0
+        assert f"output.sequence_file: {prefix}.seq\n" in out
+        assert f"output.metadata_file: {prefix}.meta\n" in out
+        assert f"output.folding_file_xT: {prefix}.xT.fold\n" in out
+    assert sorted(p.name for p in tmp_path.glob("run*")) == [
+        f"run.{n}.{suffix}" for n in (1, 2) for suffix in ("meta", "seq", "xT.fold")]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--all-optima", "--representatives", "2"),
+     "argument --representatives: not allowed with argument --all-optima"),
+    (("--all-optima", "--representatives", "16"),
+     "argument --representatives: not allowed with argument --all-optima"),
+    (("--representatives", "2", "--all-optima"),
+     "argument --all-optima: not allowed with argument --representatives"),
+], ids=["cap-2", "default-cap-given", "cap-first"])
+def test_solve_all_optima_excludes_representatives(capsys, argv, message):
+    code, out, err = run_cli(capsys, "solve", "GCGGGGGCGGCCCCG", *argv)
+    assert code == 1
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [f"error: {message}"]
 
 
 # The single_clause block twice, with a fixed right turn between the blocks.
@@ -353,9 +396,11 @@ def test_verify_gadget_not_straight_exit_code(capsys, monkeypatch):
     (("approx", "GGCC", "--max-length", "1"), "--max-length applies only to --exact"),
     (("approx", "GGCC", "--exact", "--max-length", "0"),
      "--max-length must be at least 1, got 0"),
+    (("render", "GGGGCCCC", "f4.fold", "--format", "structured"),
+     "render --format structured needs --out"),
 ], ids=["assign-value", "gen-mixed-one-number", "gen-mixed-negative", "verify-nothing",
         "solve-max-length-negative", "solve-max-length-zero", "approx-max-length-no-exact",
-        "approx-max-length-zero"])
+        "approx-max-length-zero", "render-structured-no-out"])
 def test_usage_error_paths(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "single_clause.layout").write_text(bundled_layout_text("single_clause"))
@@ -479,14 +524,14 @@ output.optimal: 1
 }
 
 
-# --all-optima lists every optimum whatever the representative cap
-GOLDEN[("solve", "GGGCCC", "--all-optima", "--representatives", "1")] = GOLDEN[
-    ("solve", "GGGCCC", "--all-optima")]
 # With pruning off every walk is placed.  Up to 12 bases no probe runs, so
 # neither document reports a seed.
 GOLDEN[("solve", "GGGCCC", "--no-prune")] = GOLDEN[("solve", "GGGCCC", "--all-optima")].replace(
     "diag.nodes_explored: 43\ndiag.pruned: 17\n",
     "diag.nodes_explored: 58\ndiag.pruned: 0\n")
+# GGGCCC has fewer optima than the default cap, so listing all of them with
+# pruning off changes nothing.  (--all-optima excludes --representatives.)
+GOLDEN[("solve", "GGGCCC", "--all-optima", "--no-prune")] = GOLDEN[("solve", "GGGCCC", "--no-prune")]
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))

@@ -256,9 +256,15 @@ def loop_validate_folding(chain, points):
     """validate_folding as one Python loop over every point: the reference
     for which error, message and index the set-based checks must give."""
     raw = list(points)
-    # An infinity, which int() cannot take, is named like a fraction.
-    pts = tuple(tuple(None if isinstance(v, float) and math.isinf(v) else int(v) for v in (x, y))
-                for x, y in raw)
+    pts = []
+    for x, y in raw:
+        try:
+            pts.append((int(x), int(y)))
+        except OverflowError:
+            # An infinity is named like a fraction, and no later point is
+            # coerced: a value that int() rejects after it never raises.
+            pts.append(None)
+            break
     for i, ((x, y), pt) in enumerate(zip(raw, pts), start=1):
         if pt != (x, y):
             raise FoldingValidationError(
@@ -284,7 +290,7 @@ def loop_validate_folding(chain, points):
                     f"non-unit step at index {i} (from {prev} to {pt})", i
                 )
         prev = pt
-    return Folding(pts)
+    return Folding(tuple(pts))
 
 
 def _outcome(validate, chain, points):
@@ -332,7 +338,10 @@ def test_validate_folding_errors_match_loop(pts, data):
     [(0, 0), (True, False)],
     [(0, 0), (0, 1)],
     [(0, 0.5), ("a", 0)],
-], ids=["triple", "single", "scalar", "text", "bools", "valid", "fraction-then-text"])
+    [(math.inf, 0), ("a", 0)],
+    [(0, 0.5), (math.inf, 0), (0, 1, 2)],
+], ids=["triple", "single", "scalar", "text", "bools", "valid", "fraction-then-text",
+        "inf-then-text", "fraction-then-inf-then-triple"])
 def test_validate_folding_coercion_matches_loop(points):
     chain = Chain("GC")
     assert _outcome(validate_folding, chain, points) == _outcome(loop_validate_folding, chain, points)
@@ -355,4 +364,17 @@ def test_validate_folding_rejects_fractional_coordinates(points, point):
         validate_folding(Chain("GC"), points)
     assert str(caught.value) == f"non-integer coordinate at index 2 (point {point})"
     assert caught.value.index == 2
+
+
+def test_validate_folding_names_an_infinity_before_a_nan():
+    # int() overflows on the infinity before it reaches the NaN, which would
+    # raise a plain ValueError, so the infinity's index is named.
+    points = [(0, 0), (math.inf, 0), (math.nan, 0)]
+    with pytest.raises(FoldingValidationError) as caught:
+        validate_folding(Chain("GCG"), points)
+    assert str(caught.value) == "non-integer coordinate at index 2 (point (inf, 0))"
+    assert caught.value.index == 2
+    # A NaN first still raises int()'s own ValueError.
+    with pytest.raises(ValueError, match="NaN"):
+        validate_folding(Chain("GCG"), [(0, 0), (math.nan, 0), (math.inf, 0)])
 

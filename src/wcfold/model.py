@@ -20,6 +20,7 @@ from operator import itemgetter, sub
 from .matching import maximum_bipartite_matching
 
 BASES = frozenset("AUGCX")
+_BASE_BYTES = "".join(BASES).encode("ascii")
 COMPLEMENT = {"G": "C", "C": "G", "A": "U", "U": "A"}  # X is absent on purpose
 
 Point = tuple[int, int]
@@ -56,9 +57,14 @@ class Chain:
     def __post_init__(self):
         if not self.seq:
             raise ValueError("a chain needs at least one base")
-        bad = set(self.seq) - BASES
-        if bad:
-            raise ValueError(f"invalid bases in chain: {sorted(bad)}")
+        # Deleting the alphabet's bytes leaves only the strays, in C; text
+        # that is not ASCII holds a stray by definition.
+        try:
+            stray = self.seq.encode("ascii").translate(None, _BASE_BYTES)
+        except UnicodeEncodeError:
+            stray = True
+        if stray:
+            raise ValueError(f"invalid bases in chain: {sorted(set(self.seq) - BASES)}")
 
     def __len__(self) -> int:
         return len(self.seq)

@@ -46,7 +46,10 @@ intended folding of the building (all-true) assignment.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
+from itertools import chain as _chain, compress, repeat
+from operator import itemgetter
 
 from ..bounds import hairpin_folding
 from ..model import COMPLEMENT, Chain, Folding, Point, _is_walk, validate_folding, score
@@ -55,10 +58,18 @@ from .layout import LayoutError, SatLayout, Segment, Turn, _opposite
 
 _LEFT = {(1, 0): (0, 1), (0, 1): (-1, 0), (-1, 0): (0, -1), (0, -1): (1, 0)}
 _RIGHT = {v: k for k, v in _LEFT.items()}
+_COMPLEMENT_BASES = str.maketrans(COMPLEMENT)
 
 
 def _step(cell: Point, heading: Point) -> Point:
     return cell[0] + heading[0], cell[1] + heading[1]
+
+
+def _line(first: Point, heading: Point, n: int) -> Iterator[Point]:
+    """n cells from first, one step apart along heading."""
+    (x, y), (dx, dy) = first, heading
+    return zip(range(x, x + dx * n, dx) if dx else repeat(x, n),
+               range(y, y + dy * n, dy) if dy else repeat(y, n))
 
 
 class _Tracer:
@@ -78,29 +89,30 @@ class _Tracer:
         self.b: list[tuple[Point, str | None]] = []
         self.zips: list[tuple[int, int]] = []
 
-    def _next_base(self, kind: str) -> str:
+    def _draw(self, kind: str, n: int) -> str:
+        """The next n bases of the kind's pattern stream."""
         period = PERIODS[kind]
-        base = period[self.drawn[kind] % len(period)]
-        self.drawn[kind] += 1
-        return base
+        drawn = self.drawn[kind]
+        self.drawn[kind] = drawn + n
+        phase = drawn % len(period)
+        return (period * ((phase + n) // len(period) + 1))[phase:phase + n]
 
-    def _zip(self, cell: Point, heading: Point, kind: str) -> None:
-        """A route cell and its partner one cell left of travel, zipped."""
-        base = self._next_base(kind)
-        self.zips.append((len(self.a), len(self.b)))
-        self.a.append((cell, base))
-        self.b.append((_step(cell, _LEFT[heading]), COMPLEMENT[base]))
-
-    def _straight(self, kind: str) -> None:
-        self.pos = _step(self.pos, self.heading)
-        self._zip(self.pos, self.heading, kind)
+    def _zip(self, first: Point, heading: Point, n: int, kind: str) -> None:
+        """n route cells from first along heading, each zipped with its
+        partner one cell left of travel.  The last of them becomes pos."""
+        bases = self._draw(kind, n)
+        a, b = self.a, self.b
+        self.zips += zip(range(len(a), len(a) + n), range(len(b), len(b) + n))
+        a += zip(_line(first, heading, n), bases)
+        b += zip(_line(_step(first, _LEFT[heading]), heading, n),
+                 bases.translate(_COMPLEMENT_BASES))
+        self.pos = a[-1][0]
 
     def run(self) -> None:
-        self._zip(self.pos, self.heading, "flex")  # route origin
+        self._zip(self.pos, self.heading, 1, "flex")  # route origin
         for elem in self.layout.elements:
             if isinstance(elem, Segment):
-                for _ in range(elem.cells):
-                    self._straight(elem.kind)
+                self._zip(_step(self.pos, self.heading), self.heading, elem.cells, elem.kind)
             else:
                 self._turn(elem)
         # The molecule turnaround: one spacer on each strand, chain-joined.
@@ -124,19 +136,18 @@ class _Tracer:
         post = _step(corner, new_h)
         if realized == "left":
             # The inner track pinches: the corner and the cell after it.
-            for cell in (corner, post):
-                self.a.append((cell, self._next_base("flex") if variable else None))
+            self.a += zip((corner, post), self._draw("flex", 2) if variable else (None, None))
         else:
             # The outer track spends the corner diagonal and its flank.  On a
             # variable turn their bases pair two cells back along the
             # corridor in the mirrored (left) realization of the same
             # molecule, which pins them.
-            self._zip(corner, h, "flex")
+            self._zip(corner, h, 1, "flex")
             diag = _step(_step(corner, _LEFT[h]), h)
             flank = _step(corner, h)
             for cell, back in ((diag, -4), (flank, -3)):
                 self.b.append((cell, COMPLEMENT[self.a[back][1]] if variable else None))
-            self._zip(post, new_h, "flex")
+            self._zip(post, new_h, 1, "flex")
         self.pos = post
         self.heading = new_h
 
@@ -149,7 +160,7 @@ class _Tracer:
         either position.
         """
         if (self.drawn["flex"] % 2 == 1) != (turn.direction == "right"):
-            self._straight("flex")
+            self._zip(_step(self.pos, self.heading), self.heading, 1, "flex")
 
 
 def _tail_cells(length: int, x: int, y: int) -> tuple[Point, ...]:
@@ -170,12 +181,18 @@ def _with_tails(route: tuple[Point, ...], tail_length: int) -> tuple[Point, ...]
     return _tail_cells(tail_length, *_LEAD_TAIL) + route + _tail_cells(tail_length, *_END_TAIL)
 
 
-def _hits_tail(cells, tail_length: int) -> bool:
+# The four columns that the tails fill.
+_TAIL_COLUMNS = frozenset(x for x0, _ in (_LEAD_TAIL, _END_TAIL) for x in (x0, x0 + 1))
+
+
+def _hits_tail(cells: Sequence[Point], tail_length: int) -> bool:
     """Whether any of cells lies in the rectangle that either tail fills:
-    two columns from its first cell (x, y) up to row y + tail_length/2 - 1."""
+    two columns from its first cell (x, y) up to row y + tail_length/2 - 1.
+    Only the few cells in the tails' columns, picked out in C, are tested."""
     rows = tail_length // 2
+    near = compress(cells, map(_TAIL_COLUMNS.__contains__, map(itemgetter(0), cells)))
     return any(x0 <= x <= x0 + 1 and y0 <= y < y0 + rows
-               for x0, y0 in (_LEAD_TAIL, _END_TAIL) for x, y in cells)
+               for x, y in near for x0, y0 in (_LEAD_TAIL, _END_TAIL))
 
 
 @dataclass(frozen=True)
@@ -193,25 +210,27 @@ class ReductionInstance:
     outbound_length: int
     returning_length: int
 
-    def _checked_route(self, assignment: dict[str, bool]) -> tuple[Point, ...]:
-        """The assignment's route cells, outbound then returning, traced and
-        checked as intended_folding describes."""
+    def _trace(self, assignment: dict[str, bool]) -> _Tracer:
+        """The assignment's trace, its variables and strand lengths checked."""
         missing = [v for v in self.layout.variables if v not in assignment]
         if missing:
             raise LayoutError(f"assignment missing variables {missing}")
         unknown = sorted(set(assignment) - set(self.layout.variables))
         if unknown:
             raise LayoutError(f"assignment names unknown variables {unknown}")
-        directions = {v: bool(assignment[v]) for v in self.layout.variables}
-        tracer = _Tracer(self.layout, directions)
+        tracer = _Tracer(self.layout, {v: bool(assignment[v]) for v in self.layout.variables})
         tracer.run()
         if len(tracer.a) != self.outbound_length or len(tracer.b) != self.returning_length:
             raise LayoutError(
                 "assignment trace does not conserve strand lengths; "
                 "variable turn pairs are inconsistent"
             )
-        route = tuple(cell for cell, _ in tracer.a)
-        route += tuple(cell for cell, _ in reversed(tracer.b))
+        return tracer
+
+    def _checked_route(self, tracer: _Tracer) -> tuple[Point, ...]:
+        """The trace's route cells, outbound then returning, checked as
+        intended_folding describes."""
+        route = tuple(map(itemgetter(0), _chain(tracer.a, reversed(tracer.b))))
         lead_end = (_LEAD_TAIL[0] + 1, _LEAD_TAIL[1])
         if not _is_walk((lead_end,) + route + (_END_TAIL,)) or _hits_tail(route, self.tail_length):
             try:
@@ -234,7 +253,8 @@ class ReductionInstance:
         or names one the layout does not declare, or when its route
         crosses itself or a tail.
         """
-        return Folding(_with_tails(self._checked_route(assignment), self.tail_length))
+        route = self._checked_route(self._trace(assignment))
+        return Folding(_with_tails(route, self.tail_length))
 
     @property
     def build_assignment(self) -> dict[str, bool]:
@@ -315,7 +335,7 @@ def assemble(layout: SatLayout) -> ReductionInstance:
         outbound_length=a_len,
         returning_length=b_len,
     )
-    bonds = verify_instance(instance, instance.build_assignment)[0]
+    bonds = _score_trace(instance, tracer)[0]
     if bonds < k:
         raise AssertionError(
             f"intended folding scores {bonds}, below the target k = {k}"
@@ -324,10 +344,15 @@ def assemble(layout: SatLayout) -> ReductionInstance:
 
 
 def verify_instance(instance: ReductionInstance, assignment: dict[str, bool]) -> tuple[int, bool]:
-    """Recount the bonds of the assignment's intended folding against k.
-    Only the route is scored: X bonds with nothing, and the route's slice
-    of the chain keeps chain adjacency, so the count is the molecule's."""
-    route = instance._checked_route(assignment)
+    """Recount the bonds of the assignment's intended folding against k."""
+    return _score_trace(instance, instance._trace(assignment))
+
+
+def _score_trace(instance: ReductionInstance, tracer: _Tracer) -> tuple[int, bool]:
+    """Check a trace's route and count its bonds against k.  Only the route
+    is scored: X bonds with nothing, and the route's slice of the chain
+    keeps chain adjacency, so the count is the molecule's."""
+    route = instance._checked_route(tracer)
     start = instance.tail_length
     bonds = score(Chain(instance.chain.seq[start:start + len(route)]), Folding(route))[0]
     return bonds, bonds >= instance.k

@@ -31,6 +31,7 @@ a turn pair.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -123,6 +124,11 @@ def parse_layout(text: str) -> SatLayout:
                 spacing = int(parts[1])
                 _options(parts[2:], ())
             elif word == "variable":
+                # Names end up in fold file names and in --assign NAME=VALUE.
+                if not re.fullmatch("[A-Za-z0-9_]+", parts[1]):
+                    raise LayoutError(
+                        f"variable name {parts[1]!r} must be letters, digits and underscores"
+                    )
                 if parts[1] in variables:
                     raise LayoutError(f"variable {parts[1]} declared more than once")
                 variables.append(parts[1])

@@ -633,6 +633,18 @@ def test_reduce_rejects_repeated_variable(capsys, tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["single_clause.layout"]
 
 
+def test_reduce_rejects_variable_name_outside_word_characters(capsys, tmp_path):
+    # The name would become part of a fold file's name.
+    layout = tmp_path / "slash.layout"
+    layout.write_text(bundled_layout_text("single_clause").replace(" x", " d/x"))
+    code, out, err = run_cli(capsys, "reduce", str(layout), "--out-prefix", str(tmp_path / "run"),
+                             "--assign", "d/x=true")
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 8: variable name 'd/x' must be letters, digits and underscores\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["slash.layout"]
+
+
 def test_reduce_rejects_zero_period_segment(capsys, tmp_path):
     layout = tmp_path / "zero.layout"
     layout.write_text(ZERO_PERIOD_LAYOUT)

@@ -23,6 +23,19 @@ from wcfold.walks import enumerate_walk_points
 from conftest import brute_force_matching_size
 
 
+@pytest.mark.parametrize("seq,message", [
+    ("X" * 50_000 + "GCNAU" + "X" * 50_000, "invalid bases in chain: ['N']"),
+    ("gcau", "invalid bases in chain: ['a', 'c', 'g', 'u']"),
+    ("GCé", "invalid bases in chain: ['é']"),
+    ("GZCQBZ", "invalid bases in chain: ['B', 'Q', 'Z']"),
+    ("", "a chain needs at least one base"),
+], ids=["deep-stray", "lower-case", "non-ascii", "several", "empty"])
+def test_chain_names_its_stray_bases(seq, message):
+    with pytest.raises(ValueError) as caught:
+        Chain(seq)
+    assert str(caught.value) == message
+
+
 def test_parse_basic():
     chain = parse_chain("GGGGCCCC")
     assert chain.seq == "GGGGCCCC"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wcfold.bounds import hairpin_folding
-from wcfold.model import Chain, score, validate_folding
+from wcfold.model import COMPLEMENT, Chain, score, validate_folding
 from wcfold.reduction import (
     LayoutError,
     SatLayout,
@@ -19,7 +19,9 @@ from wcfold.reduction import (
     verify_instance,
     verify_straightness,
 )
-from wcfold.reduction.assemble import _Tracer, _tail_cells
+from wcfold.reduction.assemble import _LEFT, _RIGHT, _Tracer, _step, _tail_cells
+from wcfold.reduction.gadgets import PERIODS
+from wcfold.reduction.layout import _opposite
 
 from conftest import ZERO_PERIOD_LAYOUT
 
@@ -333,6 +335,106 @@ def test_generated_two_block_layouts(text):
         assert meets == all(values)
 
 
+class _PerCellTracer(_Tracer):
+    """The reference trace: every straight cell drawn, stepped and zipped
+    one at a time, as _Tracer did before it traced runs of cells."""
+
+    def _next_base(self, kind):
+        period = PERIODS[kind]
+        base = period[self.drawn[kind] % len(period)]
+        self.drawn[kind] += 1
+        return base
+
+    def _zip_cell(self, cell, heading, kind):
+        base = self._next_base(kind)
+        self.zips.append((len(self.a), len(self.b)))
+        self.a.append((cell, base))
+        self.b.append((_step(cell, _LEFT[heading]), COMPLEMENT[base]))
+
+    def _straight(self, kind):
+        self.pos = _step(self.pos, self.heading)
+        self._zip_cell(self.pos, self.heading, kind)
+
+    def run(self):
+        self._zip_cell(self.pos, self.heading, "flex")
+        for elem in self.layout.elements:
+            if isinstance(elem, Segment):
+                for _ in range(elem.cells):
+                    self._straight(elem.kind)
+            else:
+                self._turn(elem)
+        a_tip = _step(self.pos, self.heading)
+        self.a.append((a_tip, None))
+        self.b.append((_step(a_tip, _LEFT[self.heading]), None))
+
+    def _turn(self, turn):
+        variable = turn.variable is not None
+        realized = turn.direction
+        if variable:
+            if not self.directions[turn.variable]:
+                realized = _opposite(realized)
+            if (self.drawn["flex"] % 2 == 1) != (turn.direction == "right"):
+                self._straight("flex")
+        h = self.heading
+        new_h = _LEFT[h] if realized == "left" else _RIGHT[h]
+        corner = _step(self.pos, h)
+        post = _step(corner, new_h)
+        if realized == "left":
+            for cell in (corner, post):
+                self.a.append((cell, self._next_base("flex") if variable else None))
+        else:
+            self._zip_cell(corner, h, "flex")
+            diag = _step(_step(corner, _LEFT[h]), h)
+            flank = _step(corner, h)
+            for cell, back in ((diag, -4), (flank, -3)):
+                self.b.append((cell, COMPLEMENT[self.a[back][1]] if variable else None))
+            self._zip_cell(post, new_h, "flex")
+        self.pos = post
+        self.heading = new_h
+
+
+def _assert_traces_match_per_cell(layout):
+    """The run-at-a-time trace equals the per-cell reference under every
+    assignment: records, zips, pattern draws and the final pose."""
+    for values in itertools.product((True, False), repeat=len(layout.variables)):
+        directions = dict(zip(layout.variables, values))
+        traces = []
+        for tracer in (_Tracer(layout, directions), _PerCellTracer(layout, directions)):
+            tracer.run()
+            traces.append((tracer.a, tracer.b, tracer.zips, tracer.drawn, tracer.pos, tracer.heading))
+        assert traces[0] == traces[1]
+
+
+@pytest.mark.parametrize("name", ["single_clause", "straight_zipper"])
+def test_fixture_traces_match_per_cell(name):
+    _assert_traces_match_per_cell(parse_layout(bundled_layout_text(name)))
+
+
+@st.composite
+def chained_block_layouts(draw):
+    """1-4 variable/clause blocks, each optionally followed by a fixed left
+    or right turn.  Only traces are compared, so a route may cross."""
+    n = draw(st.integers(1, 4))
+    lines = [f"spacing {80 * n + 1}"]
+    lines += [f"variable x{i}" for i in range(n)] + [f"clause c{i} literals x{i}" for i in range(n)]
+    for i in range(n):
+        side, other = draw(st.sampled_from([("left", "right"), ("right", "left")]))
+        a, b, r, c, d = (draw(st.integers(1, hi)) for hi in (4, 5, 3, 14, 3))
+        lines += [f"segment flex {a}", f"turn u{i} variable x{i} true={side} partner=v{i}",
+                  f"segment flex {b}", f"segment rigid {r} clause=c{i}", f"segment flex {c}",
+                  f"turn v{i} variable x{i} true={other} partner=u{i}", f"segment flex {d}"]
+        after = draw(st.sampled_from([None, "left", "right"]))
+        if after:
+            lines += [f"turn f{i} fixed {after}", f"segment flex {draw(st.integers(1, 3))}"]
+    return "\n".join(lines) + "\n"
+
+
+@given(chained_block_layouts())
+@settings(max_examples=40, deadline=None)
+def test_generated_traces_match_per_cell(text):
+    _assert_traces_match_per_cell(parse_layout(text))
+
+
 @pytest.mark.parametrize("periods", ["0", "-2"])
 def test_segment_needs_a_period(periods):
     text = ZERO_PERIOD_LAYOUT.replace("segment flex 0", f"segment flex {periods}")
@@ -365,6 +467,9 @@ segment flex 2
     (1, "spacing 84 90", 1, "unknown option '90'"),
     (2, "spacing 90", 0, "spacing declared more than once"),
     (2, "variable x y", 1, "unknown option 'y'"),
+    (2, "variable d/x", 1, "variable name 'd/x' must be letters, digits and underscores"),
+    (2, "variable x,y", 1, "variable name 'x,y' must be letters, digits and underscores"),
+    (2, "variable x=1", 1, "variable name 'x=1' must be letters, digits and underscores"),
     (3, "variable x", 0, "variable x declared more than once"),
     (4, "clause c1 literals x", 0, "clause c1 declared more than once"),
     (3, "clause c1 x", 1, "clause needs: clause NAME literals V[,V...]"),
@@ -477,7 +582,7 @@ assemble_module = importlib.import_module("wcfold.reduction.assemble")
 def _unchecked_instance(monkeypatch, text):
     """The instance of a layout whose building route assemble rejects,
     compiled without tracing that route."""
-    monkeypatch.setattr(assemble_module, "verify_instance", lambda inst, a: (inst.k, True))
+    monkeypatch.setattr(assemble_module, "_score_trace", lambda inst, tracer: (inst.k, True))
     inst = _assemble_text(text)
     monkeypatch.undo()
     return inst

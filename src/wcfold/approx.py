@@ -13,6 +13,24 @@ leftover nodes between consecutive paired nodes loop away from the
 interface inside the two columns they span, and the stretch between the
 innermost pair routes around the open end.
 
+The ratio is at most 6.  Let P be the parity bound, so opt <= P.  The
+census-preferred branch keeps the larger of P's two terms, so
+min(#odd-1, #even-1) >= ceil(P/2), and the plan has at least
+floor(ceil(P/2) / 2) pairs.  If any folding has a bond, it joins an odd
+node and an even node i < j, complementary, so j - i >= 3.  In the branch
+whose classes hold them, the side role with i's class on the left arm has
+left[0] <= i and right[-1] >= j, so it keeps at least one pair (see
+_fold_role), and so does plan_fold, the better of both branches.  Every
+pair is a bond, so whenever opt >= 1,
+
+    opt / achieved <= P / max(1, floor(ceil(P/2) / 2)),
+
+which is P for P <= 6, at most 5 for 7 <= P <= 13 (5 at P = 10), and at
+most 4P / (P - 2) <= 14/3 beyond, since floor(ceil(P/2) / 2) >= (P - 2)/4.
+Its maximum is 6, at P = 6.  test_criterion_5 checks achieved >=
+ceil(opt / 6) over every G/C chain of 6-12 bases and pins the worst ratio
+found at each length: 2, 3, 4 and 5.
+
 Planning (plan_fold) and building (build_folding) are separate steps, so a
 caller can report the plan that was actually built.  The best edge of each
 side-role assignment is found in closed form by a binary search over the

@@ -31,7 +31,11 @@ compare per step keeps cen equal to the sum.
 The search tree is partitioned by canonical prefixes at a fixed depth that
 depends only on the chain length, and subtree results merge associatively
 in prefix order.  Worker count changes only which process runs a subtree,
-so reports are identical for any worker count.
+so reports are identical for any worker count.  One placement rule serves
+the whole walk: each step names its child's steps, so the canonical-walk
+rule is data, and a subtree's prefix is a chain of forced steps that skip
+the bound.  Prefix placements are counted once, by exact_solve, not per
+subtree.
 
 A subtree search starts its best-so-far from a seed, the score of a real
 folding and so a valid lower bound, or from nothing (-1), in which case
@@ -150,8 +154,8 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     The tables are the chain's _chain_tables, and prefix is the subtree's
     canonical prefix as lattice points.  The search runs on a grid whose
     cell for point (x, y) is (L + x) * width + (L + y), wide enough that no
-    walk from the origin leaves it; the prefix is encoded onto it here and
-    the representatives decoded back to points.
+    walk from the origin leaves it; the prefix's moves are encoded onto it
+    here and the representatives decoded back to points.
 
     Returns (best, count_at_best, representatives, nodes, pruned).
     Counting starts at the seed score (-1 when there is none) with count 0:
@@ -159,25 +163,39 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     equal to the optimum still yields the true count.  A pruned score-only
     search returns as soon as its best reaches the bounding-box bound.
 
-    place() replays the prefix.  Below it dfs(n) places node n + 1 inline,
-    in each free cell next to node n in turn, and undoes each placement in
-    reverse once its subtree is searched.  Node n never bonds with node
-    n + 1 (they are chain neighbours), and each of those cells is one of
-    n's free cells, so n loses one free cell once per dfs call, not per
-    placement.  A node placed by step d has node n at cell - d, so only the
-    three cells ahead are scanned, and the undo rescans them only when one
-    was occupied: a free cell had no free count to restore.
+    dfs(n, steps) places node n + 1 inline, by each step in turn whose cell
+    is free, and undoes each placement in reverse once its subtree is
+    searched.  A step is (d, ahead, child_steps, check): the move, the new
+    cell's neighbours other than node n's cell at -d, the steps of node
+    n + 2, and whether the bound is checked (prune).  So the canonical-walk
+    rule is data: before its first turn a walk goes +x, back to the same
+    two steps, or turns left (+y) to all four, and each of the four leads
+    to the four.  Node 1 sits at the origin, and each later prefix node is
+    one forced step with check False, so dfs places the prefix too, never
+    prunes it, and may reach the leaf inside it.  exact_solve counts the
+    prefix placements once for all subtrees, so the nodes returned are the
+    placements below the prefix: dfs calls plus prunes, less len(prefix).
+
+    Node n never bonds with node n + 1 (they are chain neighbours), and
+    each cell tried is one of n's free cells, so n loses one free cell once
+    per dfs call, not per placement.  Only the three cells ahead are
+    scanned, and the undo rescans them only when one was occupied: a free
+    cell had no free count to restore.
     """
     (cls, census, nbond, bond), prefix, prune, counting, seed, rep_cap = args
     length = len(cls) - 1
     width = 2 * length + 1
     dirs4 = tuple(dx * width + dy for dx, dy in DIRS)
-    # (step d, the new cell's neighbours other than the predecessor's cell
-    # at -d, whether d leaves the x axis); a walk turns at its first y step.
-    steps4 = tuple((d, tuple(e for e in dirs4 if e != -d), d in (1, -1)) for d in dirs4)
-    steps2 = steps4[:2]
+    ahead_of = {d: tuple(e for e in dirs4 if e != -d) for d in dirs4}
+    # Steps after the walk's first turn (steps4) and before it (steps2).
+    steps4: list = []
+    steps4 += [(d, ahead_of[d], steps4, prune) for d in dirs4]
+    steps2: list = []
+    steps2 += [steps4[0][:2] + (steps2, prune), steps4[1]]
 
     avail = list(census)
+    # cen: sum over the four complementary class pairs of min(avail[a], avail[b]).
+    cen = sum(min(avail[c], avail[c ^ 3]) for c in (0, 1, 4, 5))
 
     occ = [0] * (width * width)
     pos = [0] * (length + 1)
@@ -204,44 +222,17 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
                 return True
         return False
 
-    def place(i: int, cell: int):
-        """Occupy cell with node i, update census/adjacency/matching."""
-        nonlocal mu, stamp
-        occ[cell] = i
-        pos[i] = cell
-        row = bond[i]
-        adj_i = adj[i]
-        nfree = 0
-        for d in dirs4:
-            q = occ[cell + d]
-            if q:
-                f = free_cnt[q] - 1
-                free_cnt[q] = f
-                if not f:
-                    avail[cls[q]] -= 1
-                if row[q]:
-                    adj_i.append(q)
-                    adj[q].append(i)
-            else:
-                nfree += 1
-        free_cnt[i] = nfree
-        if not nfree:
-            avail[cls[i]] -= 1
-        if adj_i:
-            stamp += 1
-            mu += try_node(i)
-
     best = seed
     # Counting keeps walks that tie the best; score-only mode prunes ties.
     tie = 0 if counting else 1
     stop = bounding_box_bound(length) if prune and not counting else None
     count = 0
     reps: list[tuple] = []
-    nodes_explored = 0
     pruned = 0
 
     def dfs(n: int, steps):
-        nonlocal best, count, mu, stamp, cen, nodes_explored, pruned
+        nonlocal best, count, mu, stamp, cen, calls, pruned
+        calls += 1
         if n == length:
             if mu >= best:
                 if mu > best:
@@ -271,11 +262,10 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
             if a <= avail[cn ^ 3]:
                 cen -= 1
             avail[cn] = a - 1
-        for d, ahead, turns in steps:
+        for d, ahead, child_steps, check in steps:
             cell = base_cell + d
             if occ[cell]:
                 continue
-            nodes_explored += 1
             occ[cell] = i
             pos[i] = cell
             nfree = 3
@@ -310,10 +300,10 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
 
             # Parity-census bound: each future bond pairs one available
             # node of a class with one of its opposite-parity complement.
-            if prune and mu + (cen if cen < nb else nb) < best + tie:
+            if check and mu + (cen if cen < nb else nb) < best + tie:
                 pruned += 1
             else:
-                dfs(i, steps4 if turns else steps)
+                dfs(i, child_steps)
 
             # Undo in reverse.
             if grown:
@@ -350,20 +340,28 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
             avail[cn] = a + 1
         free_cnt[n] = fn + 1
 
-    # Replay the prefix, then search below it; a walk has turned once it
+    # The prefix as forced steps, back to front; a walk has turned once it
     # leaves the x axis.
-    for k, (x, y) in enumerate(prefix, start=1):
-        place(k, (length + x) * width + (length + y))
-    # cen: sum over the four complementary class pairs of min(avail[a], avail[b]).
-    cen = sum(min(avail[c], avail[c ^ 3]) for c in (0, 1, 4, 5))
+    steps = steps4 if any(y for _, y in prefix) else steps2
+    for k in range(len(prefix) - 1, 0, -1):
+        (x0, y0), (x1, y1) = prefix[k - 1], prefix[k]
+        d = (x1 - x0) * width + (y1 - y0)
+        steps = [(d, ahead_of[d], steps, False)]
+    origin = length * width + length
+    occ[origin] = 1
+    pos[1] = origin
+    free_cnt[1] = 4
+    calls = 0
     try:
-        dfs(len(prefix), steps4 if any(y for _, y in prefix) else steps2)
+        dfs(1, steps)
     except _Stop:
         pass
 
     decoded = [tuple((c // width - length, c % width - length) for c in cells)
                for cells in reps]
-    return best, count, decoded, nodes_explored, pruned
+    # Each placement is pruned or calls dfs, and the first call places
+    # node 1; exact_solve counts the prefix's placements.
+    return best, count, decoded, calls + pruned - len(prefix), pruned
 
 
 def _prefixes(length: int) -> list[tuple[Point, ...]]:

@@ -30,6 +30,18 @@ def brute_force_matching_size(edges):
     return best
 
 
+def boustrophedon(length, height):
+    """A folding that snakes up and down columns of `height` cells, with G
+    and C by lattice colour, so every contact that is not a chain step can
+    bond.  On a long, thin strip Kuhn's augmenting paths run hundreds of
+    nodes deep."""
+    points = []
+    for k in range(length):
+        x, r = divmod(k, height)
+        points.append((x, r if x % 2 == 0 else height - 1 - r))
+    return Chain("".join("GC"[(x + y) % 2] for x, y in points)), Folding(tuple(points))
+
+
 def brute_force_optimum(chain):
     """Exact optimum and symmetry-class count via plain enumeration + score."""
     best = -1

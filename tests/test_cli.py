@@ -10,11 +10,12 @@ import pytest
 from wcfold import approx, reduction
 from wcfold.approx import BRANCH_EVENG_ODDC, build_folding, plan_fold, relabel
 from wcfold.cli import main
+from wcfold.docio import write_folding_file
 from wcfold.model import Chain
 from wcfold.walks import points_to_moves
 from wcfold.reduction import bundled_layout_text
 
-from conftest import ZERO_PERIOD_LAYOUT
+from conftest import ZERO_PERIOD_LAYOUT, boustrophedon
 
 
 # A failed verification emits its document and elapsed line, then one error line.
@@ -252,6 +253,17 @@ def test_render_svg_to_file(capsys, tmp_path):
     )
     assert code == 0
     assert svg.read_text().startswith("<?xml")
+
+
+def test_render_deep_folding(capsys, tmp_path):
+    # Its bond count needs augmenting paths deeper than the recursion limit.
+    chain, folding = boustrophedon(9000, 4)
+    seq, fold, art = tmp_path / "b.seq", tmp_path / "b.fold", tmp_path / "b.txt"
+    seq.write_text(chain.seq + "\n")
+    write_folding_file(fold, folding)
+    code, out, _ = run_cli(capsys, "render", str(seq), str(fold), "--out", str(art))
+    assert code == 0
+    assert "output.bonds: 4499\n" in out
 
 
 def test_reduce_and_verify(capsys, tmp_path):

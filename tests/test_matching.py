@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from wcfold.approx import approx_fold
 from wcfold.matching import maximum_bipartite_matching
-from wcfold.model import Chain, Folding, contact_graph
+from wcfold.model import Chain, Folding, contact_graph, score
+
+from conftest import boustrophedon
 
 
 def reference_matching(edges):
@@ -84,6 +86,16 @@ def test_matches_reference_on_approx_foldings():
 def test_matches_reference_with_label_zero(edges):
     edges.append((0, 1))
     assert maximum_bipartite_matching(edges) == reference_matching(edges)
+
+
+def test_deep_augmenting_paths_do_not_recurse():
+    # 9000 bases on a strip four cells high: the augmenting paths run past
+    # Python's default recursion limit.
+    chain, folding = boustrophedon(9000, 4)
+    size, witness = score(chain, folding)
+    assert size == 4499
+    assert witness.edges <= set(contact_graph(chain, folding))
+    assert len({i for edge in witness.edges for i in edge}) == 2 * size
 
 
 def test_empty_graph():

@@ -158,10 +158,11 @@ def test_leaf_count_matches_walk_enumeration():
     assert report.optimal_count == len(list(enumerate_walk_points(7)))
 
 
-@pytest.mark.parametrize("length", [12, 13])
+@pytest.mark.parametrize("length", [1, 2, 3, 12, 13])
 def test_node_count_is_the_walk_tree_size(length):
     # With pruning off every canonical walk prefix is placed once, on both
-    # sides of the partition threshold (12 bases).
+    # sides of the partition threshold (12 bases).  Up to 2 bases the
+    # subtree prefix is the whole walk, so its leaf lies in the forced steps.
     report = exact_solve(Chain("X" * length), prune=False)
     tree_size = sum(len(list(enumerate_walk_points(d))) for d in range(1, length + 1))
     assert report.nodes_explored == tree_size

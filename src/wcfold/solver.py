@@ -28,6 +28,12 @@ min(avail[a], avail[b]) by one exactly when avail[a] <= avail[b] before the
 step; adding one raises it exactly when avail[a] < avail[b].  So one
 compare per step keeps cen equal to the sum.
 
+Most prunes are decided before the placement, by reading the grid only.
+When matching_so_far + (unplaced bondable nodes) already falls short of
+the best, a cell whose neighbours hold no bond partner of the new node is
+pruned unplaced: there the node cannot grow the matching, and the census
+only falls, so the bound after placing it would fall short too.
+
 The search tree is partitioned by canonical prefixes at a fixed depth that
 depends only on the chain length, and subtree results merge associatively
 in prefix order.  Worker count changes only which process runs a subtree,
@@ -172,9 +178,24 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     two steps, or turns left (+y) to all four, and each of the four leads
     to the four.  Node 1 sits at the origin, and each later prefix node is
     one forced step with check False, so dfs places the prefix too, never
-    prunes it, and may reach the leaf inside it.  exact_solve counts the
-    prefix placements once for all subtrees, so the nodes returned are the
-    placements below the prefix: dfs calls plus prunes, less len(prefix).
+    prunes it, and may reach the leaf inside it.  check is the same for
+    every step of a list, so steps[0][3] stands for the list.
+
+    Before its step loop, dfs sets need when check holds and
+    mu + nbond[i] < best + tie, for the node i = n + 1 it places.  Then a
+    free cell whose three cells ahead hold no node that i can bond with
+    (occ is 0 on an empty cell, and row[0] is False) is pruned without
+    being placed.  This prunes exactly the cells the placed bound would:
+    no edge reaches i there, so the child's mu' = mu; the census only
+    falls, so mu' + min(cen', nbond[i]) <= mu + nbond[i] < best + tie; and
+    best only rises within a call, so a flag taken at its start holds for
+    every step.
+
+    A cell tried is a free cell: it is pruned, before or after its
+    placement, or placed and searched by a dfs call.  exact_solve counts
+    the prefix placements once for all subtrees, so the nodes returned are
+    the cells tried below the prefix: dfs calls plus prunes, less
+    len(prefix).
 
     Node n never bonds with node n + 1 (they are chain neighbours), and
     each cell tried is one of n's free cells, so n loses one free cell once
@@ -262,10 +283,18 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
             if a <= avail[cn ^ 3]:
                 cen -= 1
             avail[cn] = a - 1
+        # When even nb more bonds cannot lift mu to the best, a cell with
+        # no bond partner of i ahead is pruned unplaced (see _solve_subtree).
+        need = steps[0][3] and mu + nb < best + tie
         for d, ahead, child_steps, check in steps:
             cell = base_cell + d
             if occ[cell]:
                 continue
+            if need:
+                e1, e2, e3 = ahead
+                if not (row[occ[cell + e1]] or row[occ[cell + e2]] or row[occ[cell + e3]]):
+                    pruned += 1
+                    continue
             occ[cell] = i
             pos[i] = cell
             nfree = 3
@@ -359,7 +388,7 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
 
     decoded = [tuple((c // width - length, c % width - length) for c in cells)
                for cells in reps]
-    # Each placement is pruned or calls dfs, and the first call places
+    # Each cell tried is pruned or calls dfs, and the first call places
     # node 1; exact_solve counts the prefix's placements.
     return best, count, decoded, calls + pruned - len(prefix), pruned
 

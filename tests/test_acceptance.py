@@ -147,39 +147,65 @@ def test_criterion_4_matching_oracle(walks_by_length):
 # Per length, the worst optimum / achieved and its first chain in product
 # order; the approx module docstring proves the ratio never exceeds 6.
 WORST_APPROX_RATIO = {6: (2, "GGGCGC"), 8: (3, "GGCCCGCG"), 10: (4, "GGGCCCCGCG"),
-                      12: (5, "GGGCGCCGCGCG")}
+                      12: (5, "GGGCGCCGCGCG"), 14: (5, "GGCGCGCCGCGCGG")}
 
 
 def test_criterion_5_approximation_ratio():
+    # opt <= the parity bound P, so the solver runs only where it could
+    # matter: where achieved is 0 but P is not, or where P / achieved
+    # beats the length's worst ratio so far.  Any other chain has
+    # opt / achieved <= P / achieved <= the worst so far, which only a
+    # chain within the factor 6 sets: neither a new witness nor a violation.
     violations = 0
     checked = 0
+    solved = 0
     worst = {}
-    for length in (6, 8, 10, 12):
+    for length in (6, 8, 10, 12, 14):
         worst[length] = (0, None)
         for combo in itertools.product("GC", repeat=length):
             chain = Chain("".join(combo))
             _, achieved = approx_fold(chain)
+            checked += 1
+            if achieved < pair_floor_guarantee(relabel(chain)):
+                violations += 1
+                continue
+            ceiling = parity_bound(chain)
+            if not (achieved == 0 < ceiling
+                    or achieved and Fraction(ceiling, achieved) > worst[length][0]):
+                continue
             opt = optimal_score(chain)
-            floor_guarantee = pair_floor_guarantee(relabel(chain))
-            if achieved < math.ceil(opt / 6) or achieved < floor_guarantee:
+            solved += 1
+            if achieved < math.ceil(opt / 6):
                 violations += 1
             elif opt and Fraction(opt, achieved) > worst[length][0]:
                 worst[length] = (Fraction(opt, achieved), chain.seq)
-            checked += 1
     ok = violations == 0 and worst == WORST_APPROX_RATIO
     details = ", ".join(f"L={length}: {ratio} {seq}" for length, (ratio, seq) in worst.items())
-    _report(5, ok, f"{checked} chains checked, {violations} violations; worst {details}")
+    _report(5, ok, f"{checked} chains checked, {solved} solved, {violations} violations; "
+                   f"worst {details}")
+
+
+# The mixed family's only chains with more than one optimal folding: the
+# L = 6 blocks GGGCCC and AAAUUU have two each.
+MIXED_NOT_UNIQUE = {(6, 0): 2, (0, 6): 2}
 
 
 def test_criterion_6_mixed_alphabet_uniqueness():
-    details = []
-    ok = True
-    for m, n in ((4, 4), (6, 2), (2, 6)):
-        report = exact_solve(mixed_block_chain(m, n))
-        good = report.optimal_count == 1
-        ok = ok and good
-        details.append(f"mixed({m},{n}): count {report.optimal_count}")
-    _report(6, ok, "; ".join(details))
+    # Every mixed_block_chain(m, n) with even m, n and 2 <= m + n <= 20,
+    # and (12, 12) at L = 24: each attains (m + n) / 2 - 1 bonds, and all
+    # but MIXED_NOT_UNIQUE have one optimal folding.
+    blocks = [(m, n) for m in range(0, 21, 2) for n in range(0, 21 - m, 2) if m + n >= 2]
+    counts = {}
+    short = []
+    for m, n in blocks + [(12, 12)]:
+        report = exact_solve(mixed_block_chain(m, n), max_length=24)
+        if report.optimal_score != (m + n) // 2 - 1:
+            short.append((m, n))
+        if report.optimal_count != 1:
+            counts[m, n] = report.optimal_count
+    ok = not short and counts == MIXED_NOT_UNIQUE
+    _report(6, ok, f"{len(blocks) + 1} chains checked, short of (m + n) / 2 - 1: {short}; "
+                   f"not unique: {counts}")
 
 
 def test_criterion_7_gadget_straightness():

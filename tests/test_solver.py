@@ -176,6 +176,8 @@ def test_node_count_is_the_walk_tree_size(length):
     ("AUGCAUGCAUGCAU", False, (6, None, 97, 48)),
     ("GGAUXCCAUGXXCG", True, (3, 65, 92261, 54691)),
     ("UAGCCGAUUAGCGC", False, (3, None, 10352, 6430)),
+    # The benchmark's heaviest search, where the unplaced prune fires most.
+    ("GGGCGGGCCGCGGCCCGCGG", True, (7, 244, 748164, 439243)),
 ])
 def test_search_shape_is_pinned(seq, count, expected):
     # Above the partition threshold: these node and prune counts pin the

@@ -28,8 +28,9 @@ pair is a bond, so whenever opt >= 1,
 which is P for P <= 6, at most 5 for 7 <= P <= 13 (5 at P = 10), and at
 most 4P / (P - 2) <= 14/3 beyond, since floor(ceil(P/2) / 2) >= (P - 2)/4.
 Its maximum is 6, at P = 6.  test_criterion_5 checks achieved >=
-ceil(opt / 6) over every G/C chain of 6-12 bases and pins the worst ratio
-found at each length: 2, 3, 4 and 5.
+ceil(opt / 6) over every G/C chain of 6-14 bases, and a CI step over
+every one of 16 bases; they pin the worst ratio found at each even
+length: 2, 3, 4, 5, 5 and 4.
 
 Planning (plan_fold) and building (build_folding) are separate steps, so a
 caller can report the plan that was actually built.  The best edge of each

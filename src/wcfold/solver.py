@@ -28,11 +28,17 @@ min(avail[a], avail[b]) by one exactly when avail[a] <= avail[b] before the
 step; adding one raises it exactly when avail[a] < avail[b].  So one
 compare per step keeps cen equal to the sum.
 
-Most prunes are decided before the placement, by reading the grid only.
-When matching_so_far + (unplaced bondable nodes) already falls short of
-the best, a cell whose neighbours hold no bond partner of the new node is
-pruned unplaced: there the node cannot grow the matching, and the census
-only falls, so the bound after placing it would fall short too.
+Most prunes are decided before the placement, by reading the grid only,
+and look up to two nodes ahead.  Take slack = matching_so_far + (unplaced
+bondable nodes) - best, the unplaced nodes counted after the new node i.
+When slack < 0, every bondable node still to come must grow the matching
+as it is placed.  So a cell whose neighbours hold no bond partner of i is
+pruned unplaced: there i cannot grow the matching, and the census only
+falls, so the bound after placing it would fall short too.  And when the
+next node j = i + 1 can bond, a cell is pruned unplaced if no free cell
+beside it has a partner of j beside it, provided slack < 0, or slack == 0
+and i has no partner beside the cell: then the call that places j is
+short in turn, and it would prune every cell it tries.
 
 The search tree is partitioned by canonical prefixes at a fixed depth that
 depends only on the chain length, and subtree results merge associatively
@@ -181,15 +187,27 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     prunes it, and may reach the leaf inside it.  check is the same for
     every step of a list, so steps[0][3] stands for the list.
 
-    Before its step loop, dfs sets need when check holds and
-    mu + nbond[i] < best + tie, for the node i = n + 1 it places.  Then a
-    free cell whose three cells ahead hold no node that i can bond with
-    (occ is 0 on an empty cell, and row[0] is False) is pruned without
-    being placed.  This prunes exactly the cells the placed bound would:
-    no edge reaches i there, so the child's mu' = mu; the census only
-    falls, so mu' + min(cen', nbond[i]) <= mu + nbond[i] < best + tie; and
-    best only rises within a call, so a flag taken at its start holds for
-    every step.
+    Before its step loop, dfs takes slack = mu + nbond[i] - best - tie
+    when check holds, for the node i = n + 1 it places; best only rises
+    within a call, so a slack taken at its start only overstates.  With
+    slack <= 0 a free cell is pruned without being placed when:
+
+    - slack < 0 and its three cells ahead hold no node that i can bond
+      with (occ is 0 on an empty cell, and row[0] is False).  This prunes
+      exactly the cells the placed bound would: no edge reaches i there,
+      so the child's mu' = mu; the census only falls, so
+      mu' + min(cen', nbond[i]) <= mu + nbond[i] < best + tie.
+    - node j = i + 1 exists and can bond (row_j), slack < 0 or i has no
+      partner ahead, and no free cell ahead of the cell has a node that
+      j can bond with among its own three cells ahead (ring_of).  Then
+      mu' <= mu + 1, with mu' = mu where i has no partner, and
+      nbond[j] = nbond[i] - 1, so the child's own slack is negative: it
+      prunes every free cell it tries, for its steps are among the free
+      cells ahead, whose cells ahead hold now what they would hold then.
+      The child would place nothing and reach no leaf, so the cell costs
+      one prune instead of a call and the child's prunes.  Before the
+      walk's first turn the child tries only two of the three cells,
+      and there this test prunes less than it could.
 
     A cell tried is a free cell: it is pruned, before or after its
     placement, or placed and searched by a dfs call.  exact_solve counts
@@ -208,12 +226,19 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     width = 2 * length + 1
     dirs4 = tuple(dx * width + dy for dx, dy in DIRS)
     ahead_of = {d: tuple(e for e in dirs4 if e != -d) for d in dirs4}
+    # ring_of[d]: for each cell e ahead of a step d, e and the three cells
+    # ahead of it, all as offsets from the new cell.
+    ring_of = {d: tuple((e,) + tuple(e + f for f in ahead_of[e]) for e in ahead_of[d])
+               for d in dirs4}
     # Steps after the walk's first turn (steps4) and before it (steps2).
     steps4: list = []
     steps4 += [(d, ahead_of[d], steps4, prune) for d in dirs4]
     steps2: list = []
     steps2 += [steps4[0][:2] + (steps2, prune), steps4[1]]
 
+    # next_row[i]: node i + 1's bond row when that node exists and can bond.
+    next_row = [bond[i + 1] if i < length and cls[i + 1] != 8 else None
+                for i in range(length + 1)]
     avail = list(census)
     # cen: sum over the four complementary class pairs of min(avail[a], avail[b]).
     cen = sum(min(avail[c], avail[c ^ 3]) for c in (0, 1, 4, 5))
@@ -271,6 +296,7 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
         ci = cls[i]
         cn = cls[n]
         row = bond[i]
+        row_j = next_row[i]
         adj_i = adj[i]
         nb = nbond[i]
         # Whichever cell node i takes is one of node n's free cells, so n
@@ -283,18 +309,31 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
             if a <= avail[cn ^ 3]:
                 cen -= 1
             avail[cn] = a - 1
-        # When even nb more bonds cannot lift mu to the best, a cell with
-        # no bond partner of i ahead is pruned unplaced (see _solve_subtree).
-        need = steps[0][3] and mu + nb < best + tie
+        # slack < 0: i must grow the matching where it lands, and so must
+        # node j = i + 1 if it can bond; slack == 0: j must wherever i
+        # cannot.  A cell where either cannot is pruned unplaced (see
+        # _solve_subtree).
+        slack = mu + nb - best - tie if steps[0][3] else 1
         for d, ahead, child_steps, check in steps:
             cell = base_cell + d
             if occ[cell]:
                 continue
-            if need:
+            if slack <= 0:
                 e1, e2, e3 = ahead
-                if not (row[occ[cell + e1]] or row[occ[cell + e2]] or row[occ[cell + e3]]):
+                hit = row[occ[cell + e1]] or row[occ[cell + e2]] or row[occ[cell + e3]]
+                if not hit and slack:
                     pruned += 1
                     continue
+                if row_j is not None and (slack or not hit):
+                    (r, r1, r2, r3), (s, s1, s2, s3), (t, t1, t2, t3) = ring_of[d]
+                    if not (not occ[cell + r] and (row_j[occ[cell + r1]] or row_j[occ[cell + r2]]
+                                                   or row_j[occ[cell + r3]])
+                            or not occ[cell + s] and (row_j[occ[cell + s1]] or row_j[occ[cell + s2]]
+                                                      or row_j[occ[cell + s3]])
+                            or not occ[cell + t] and (row_j[occ[cell + t1]] or row_j[occ[cell + t2]]
+                                                      or row_j[occ[cell + t3]])):
+                        pruned += 1
+                        continue
             occ[cell] = i
             pos[i] = cell
             nfree = 3

@@ -147,10 +147,16 @@ def test_criterion_4_matching_oracle(walks_by_length):
 # Per length, the worst optimum / achieved and its first chain in product
 # order; the approx module docstring proves the ratio never exceeds 6.
 WORST_APPROX_RATIO = {6: (2, "GGGCGC"), 8: (3, "GGCCCGCG"), 10: (4, "GGGCCCCGCG"),
-                      12: (5, "GGGCGCCGCGCG"), 14: (5, "GGCGCGCCGCGCGG")}
+                      12: (5, "GGGCGCCGCGCG"), 14: (5, "GGCGCGCCGCGCGG"),
+                      16: (4, "GGGCGGCGGGCGGCGG")}
 
 
-def test_criterion_5_approximation_ratio():
+def approximation_ratio_sweep(lengths):
+    """Criterion 5 over every G/C chain of the given lengths.
+
+    Tier-1 sweeps 6-14 bases; a CI step sweeps 16 (65,536 chains, 24
+    solves, about 8 s).
+    """
     # opt <= the parity bound P, so the solver runs only where it could
     # matter: where achieved is 0 but P is not, or where P / achieved
     # beats the length's worst ratio so far.  Any other chain has
@@ -160,7 +166,7 @@ def test_criterion_5_approximation_ratio():
     checked = 0
     solved = 0
     worst = {}
-    for length in (6, 8, 10, 12, 14):
+    for length in lengths:
         worst[length] = (0, None)
         for combo in itertools.product("GC", repeat=length):
             chain = Chain("".join(combo))
@@ -179,10 +185,14 @@ def test_criterion_5_approximation_ratio():
                 violations += 1
             elif opt and Fraction(opt, achieved) > worst[length][0]:
                 worst[length] = (Fraction(opt, achieved), chain.seq)
-    ok = violations == 0 and worst == WORST_APPROX_RATIO
+    ok = violations == 0 and worst == {length: WORST_APPROX_RATIO[length] for length in lengths}
     details = ", ".join(f"L={length}: {ratio} {seq}" for length, (ratio, seq) in worst.items())
     _report(5, ok, f"{checked} chains checked, {solved} solved, {violations} violations; "
                    f"worst {details}")
+
+
+def test_criterion_5_approximation_ratio():
+    approximation_ratio_sweep((6, 8, 10, 12, 14))
 
 
 # The mixed family's only chains with more than one optimal folding: the

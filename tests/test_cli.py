@@ -490,8 +490,8 @@ output.unique: true
 output.bound_bbox: 3
 output.bound_parity: 4
 output.representatives: RRRULLL
-diag.nodes_explored: 117
-diag.pruned: 36
+diag.nodes_explored: 92
+diag.pruned: 22
 """,
     ("solve", "GGGCCC", "--all-optima"): """command: solve
 input.sequence: GGGCCC
@@ -503,8 +503,8 @@ output.unique: false
 output.bound_bbox: 2
 output.bound_parity: 3
 output.representatives: RRULL RULUR
-diag.nodes_explored: 43
-diag.pruned: 17
+diag.nodes_explored: 35
+diag.pruned: 12
 """,
     ("bound", "GAUC"): """command: bound
 input.sequence: GAUC
@@ -539,7 +539,7 @@ output.optimal: 1
 # With pruning off every walk is placed.  Up to 12 bases no probe runs, so
 # neither document reports a seed.
 GOLDEN[("solve", "GGGCCC", "--no-prune")] = GOLDEN[("solve", "GGGCCC", "--all-optima")].replace(
-    "diag.nodes_explored: 43\ndiag.pruned: 17\n",
+    "diag.nodes_explored: 35\ndiag.pruned: 12\n",
     "diag.nodes_explored: 58\ndiag.pruned: 0\n")
 # GGGCCC has fewer optima than the default cap, so listing all of them with
 # pruning off changes nothing.  (--all-optima excludes --representatives.)

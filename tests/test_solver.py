@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from wcfold.bounds import bounding_box_bound, gc_block_chain, mixed_block_chain, parity_bound
 from wcfold.matching import maximum_bipartite_matching
-from wcfold.model import Chain, Folding, contact_graph, parse_chain, validate_folding, score
+from wcfold.model import (Chain, Folding, complementary, contact_graph, parse_chain,
+                          validate_folding, score)
 from wcfold.solver import LengthLimitError, exact_solve, optimal_score
 from wcfold.walks import enumerate_walk_points
 
@@ -114,6 +115,24 @@ def test_pruning_does_not_change_results_above_the_threshold(seq, beaten):
     assert exact_solve(chain, count=False, prune=False).optimal_score == slow.optimal_score
 
 
+@pytest.mark.parametrize("seq", [
+    "GCCGGCGCCGCGGC",  # the probe's seed 5 is the optimum
+    "GGGCGCCCGGCGCC",  # probe 4, optimum 5
+    "AUGGCUAGCAUCGA",  # probe 4, optimum 5
+    "XGCAUGGCXAUCCG",  # X beside bondable nodes; probe 3, optimum 4
+])
+def test_pruning_keeps_every_optimum_at_14_bases(seq):
+    # At 14 bases the prunes before placement, on node i and on node i + 1,
+    # cut most cells; the search must still reach every optimal folding the
+    # unpruned one does, in the same order.
+    chain = Chain(seq)
+    slow = exact_solve(chain, prune=False, representative_cap=None)
+    fast = exact_solve(chain, representative_cap=None)
+    assert (fast.optimal_score, fast.optimal_count, fast.representatives) == (
+        slow.optimal_score, slow.optimal_count, slow.representatives)
+    assert exact_solve(chain, count=False).optimal_score == slow.optimal_score
+
+
 @pytest.mark.parametrize("length", range(2, 13))
 def test_alternating_chain_attains_the_bounding_box_bound(length):
     # A score-only search stops at the bounding-box bound: exhaustively,
@@ -169,15 +188,15 @@ def test_node_count_is_the_walk_tree_size(length):
 
 
 @pytest.mark.parametrize("seq, count, expected", [
-    ("GGGGGGGCCCCCCC", True, (6, 1, 2503, 1460)),
-    ("GCGGCCGCGGCCGC", True, (6, 1, 2370, 1417)),
-    ("GGCGCCGCGGCGC", False, (5, None, 123, 66)),
-    ("GAUCGGAUCCGAUC", True, (6, 1, 2418, 1458)),
-    ("AUGCAUGCAUGCAU", False, (6, None, 97, 48)),
-    ("GGAUXCCAUGXXCG", True, (3, 65, 92261, 54691)),
-    ("UAGCCGAUUAGCGC", False, (3, None, 10352, 6430)),
+    ("GGGGGGGCCCCCCC", True, (6, 1, 1711, 1021)),
+    ("GCGGCCGCGGCCGC", True, (6, 1, 1356, 820)),
+    ("GGCGCCGCGGCGC", False, (5, None, 70, 32)),
+    ("GAUCGGAUCCGAUC", True, (6, 1, 1318, 807)),
+    ("AUGCAUGCAUGCAU", False, (6, None, 66, 28)),
+    ("GGAUXCCAUGXXCG", True, (3, 65, 51637, 31063)),
+    ("UAGCCGAUUAGCGC", False, (3, None, 4183, 2566)),
     # The benchmark's heaviest search, where the unplaced prune fires most.
-    ("GGGCGGGCCGCGGCCCGCGG", True, (7, 244, 748164, 439243)),
+    ("GGGCGGGCCGCGGCCCGCGG", True, (7, 244, 465864, 281417)),
 ])
 def test_search_shape_is_pinned(seq, count, expected):
     # Above the partition threshold: these node and prune counts pin the
@@ -198,7 +217,7 @@ class _Done(Exception):
     """The reference search reached the bounding-box bound."""
 
 
-def reference_search(seq, count):
+def reference_search(seq, count, cuts=None):
     """The documented pruned search, with its state recomputed at every
     placement.
 
@@ -206,10 +225,16 @@ def reference_search(seq, count):
     placed nodes' contact graph, and the census is recounted: a bondable
     node is available when it is unplaced or has a free neighbouring cell.
     The bound, the tie rule and the score-only stop are those of the
-    wcfold.solver docstring.  Only for 12 bases or fewer: then the one
-    subtree hangs below the prefix (0, 0), (1, 0) and starts from nothing.
-    Returns (optimal_score, optimal_count, every optimal folding's points,
-    nodes_explored, pruned).
+    wcfold.solver docstring.  So is the prune before placement: with
+    slack = mu + (bondable nodes after i) - best - tie, taken when the
+    call that places node i starts, a cell is pruned unplaced when
+    slack < 0 and i has no partner beside it, or when node j = i + 1 can
+    bond, slack < 0 or slack == 0 with no partner of i beside the cell,
+    and no free cell beside it has a partner of j beside it.  cuts, if
+    given, counts those j prunes by the sign of slack.  Only for 12 bases
+    or fewer: then the one subtree hangs below the prefix (0, 0), (1, 0)
+    and starts from nothing.  Returns (optimal_score, optimal_count, every
+    optimal folding's points, nodes_explored, pruned).
     """
     assert len(seq) <= 12
     length = len(seq)
@@ -230,6 +255,14 @@ def reference_search(seq, count):
                             (pts[j - 1][0] + dx, pts[j - 1][1] + dy) for dx, dy in STEPS))
         return sum(min(avail[a, p], avail[b, 1 - p]) for a, b in ("GC", "AU") for p in (0, 1))
 
+    def beside(cell):
+        return [(cell[0] + dx, cell[1] + dy) for dx, dy in STEPS]
+
+    def partner_beside(k, cell, pts):
+        """Some placed node beside cell can bond with node k."""
+        return any(q != k - 1 and q != k + 1 and complementary(seq[k - 1], seq[q - 1])
+                   for q, pt in enumerate(pts, start=1) if pt in beside(cell))
+
     def search(pts, turned, mu):
         nonlocal best, found, nodes, pruned
         if len(pts) == length:
@@ -241,12 +274,24 @@ def reference_search(seq, count):
                 if best == stop:
                     raise _Done
             return
+        i = len(pts) + 1
+        slack = mu + len(seq[i:].replace("X", "")) - best - tie
         x, y = pts[-1]
         for dx, dy in STEPS if turned else STEPS[:2]:
             nxt = pts + [(x + dx, y + dy)]
             if nxt[-1] in pts:
                 continue
             nodes += 1
+            hit = partner_beside(i, nxt[-1], pts)
+            if slack < 0 and not hit:
+                pruned += 1
+                continue
+            if (slack < 0 or slack == 0 and not hit) and i < length and seq[i] != "X" and not any(
+                    partner_beside(i + 1, cell, nxt) for cell in beside(nxt[-1]) if cell not in nxt):
+                pruned += 1
+                if cuts is not None:
+                    cuts[slack < 0] += 1
+                continue
             bonds = matched(nxt)
             unplaced = len(seq[len(nxt):].replace("X", ""))
             if bonds + min(census(nxt), unplaced) < best + tie:
@@ -265,19 +310,26 @@ def _reference_chains():
     rng = random.Random(20261019)
     mixed = ["".join(rng.choice("GCAUX") for _ in range(rng.randint(1, 10))) for _ in range(40)]
     gc = ["".join(c) for n in range(1, 9) for c in itertools.product("GC", repeat=n)]
-    return gc + mixed
+    # 10-12 bases, with A/U and X, where both j prunes fire.
+    longer = ["GGCAUXCCGAUG", "AUGCXGCAUAGC", "GGXCCAUUAGCC", "CAUGGCXAUCG", "GCAUGCAUGC",
+              "GGGCCCXGCCGG"]
+    return gc + mixed + longer
 
 
 @pytest.mark.parametrize("count", [True, False])
 def test_search_matches_a_from_scratch_reference(count):
-    # Node for node: the incremental census, matching and undo must leave
-    # the search exactly where recomputing everything would.
+    # Node for node: the incremental census, matching and undo, and the
+    # prunes before placement, must leave the search exactly where
+    # recomputing everything would.
+    cuts = Counter()
     for seq in _reference_chains():
         report = exact_solve(Chain(seq), count=count, representative_cap=None)
         got = (report.optimal_score, report.optimal_count,
                tuple(rep.points for rep in report.representatives),
                report.nodes_explored, report.pruned)
-        assert got == reference_search(seq, count), seq
+        assert got == reference_search(seq, count, cuts), seq
+    # Both j prunes, slack < 0 and slack == 0, are exercised.
+    assert cuts[True] and cuts[False], cuts
 
 
 def test_worker_determinism_small():

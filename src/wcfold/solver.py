@@ -5,40 +5,27 @@ walk per symmetry orbit) and maintains a maximum matching on the contact
 graph incrementally: adding one node grows the matching by at most one, so
 a single augmenting-path attempt from the new node keeps it maximum.
 
-Pruning uses an admissible upper bound on any completion of a partial walk.
-Nodes fall into eight classes, base (G, C, A, U) times index parity; X
-nodes never bond and sit in a ninth slot that the bound ignores.  The
-census avail[c] counts the available nodes of class c: the unplaced ones
-plus the placed ones that still have a free neighbouring cell.  The bound is
+Pruning uses an admissible upper bound on any completion of a partial walk:
 
-    matching_so_far + min(cen, number of unplaced bondable nodes),
-    cen = sum over the four complementary class pairs of min(avail[a], avail[b])
+    matching_so_far + number of unplaced bondable nodes
 
-where a pair is G with C, or A with U, of opposite index parity.  Every
-bond of a completed folding either lies inside the placed part (counted by
-the matching, which is maximum) or touches an unplaced node.  Such a bond
-joins two available nodes of a complementary pair, and the score is a
-matching, so no node takes part in two such bonds: the bound never
-underestimates.
-
-cen is a running sum, not recomputed per node.  A placement changes the
-census only by taking one from avail[a] when a node loses its last free
-cell, and undoing it only by adding that one back.  Taking one lowers
-min(avail[a], avail[b]) by one exactly when avail[a] <= avail[b] before the
-step; adding one raises it exactly when avail[a] < avail[b].  So one
-compare per step keeps cen equal to the sum.
+Every bond of a completed folding either lies inside the placed part
+(counted by the matching, which is maximum) or touches an unplaced node,
+and the score is a matching, so no unplaced node takes part in two such
+bonds: the bound never underestimates.  X nodes never bond and are not
+counted.
 
 Most prunes are decided before the placement, by reading the grid only,
 and look up to two nodes ahead.  Take slack = matching_so_far + (unplaced
 bondable nodes) - best, the unplaced nodes counted after the new node i.
 When slack < 0, every bondable node still to come must grow the matching
 as it is placed.  So a cell whose neighbours hold no bond partner of i is
-pruned unplaced: there i cannot grow the matching, and the census only
-falls, so the bound after placing it would fall short too.  And when the
-next node j = i + 1 can bond, a cell is pruned unplaced if no free cell
-beside it has a partner of j beside it, provided slack < 0, or slack == 0
-and i has no partner beside the cell: then the call that places j is
-short in turn, and it would prune every cell it tries.
+pruned unplaced: there i cannot grow the matching, so the bound after
+placing it would fall short too.  And when the next node j = i + 1 can
+bond, a cell is pruned unplaced if no free cell beside it has a partner
+of j beside it, provided slack < 0, or slack == 0 and i has no partner
+beside the cell: then the call that places j is short in turn, and it
+would prune every cell it tries.
 
 The search tree is partitioned by canonical prefixes at a fixed depth that
 depends only on the chain length, and subtree results merge associatively
@@ -63,9 +50,13 @@ the rest are searched; in count mode every subtree is counted from the
 seed.  The probe depends only on the chain, so reports stay identical for
 any worker count.  Without a probe every subtree starts from nothing.
 
-A score-only search stops once its best reaches the bounding-box bound,
+A pruned score-only search stops once its best reaches the cap, the
+smaller of the bounding-box bound and the parity bound (wcfold.bounds),
 which no folding can beat.  That costs no compare per node: a leaf is
-reached only by a walk that improves the best.
+reached only by a walk that improves the best.  The parity bound ends the
+searches the unplaced-node bound cannot: on a skewed chain such as
+G^15 C it is reached by the first walk that bonds the C, while the
+unplaced G nodes leave slack to the end of every walk.
 """
 
 from __future__ import annotations
@@ -73,7 +64,7 @@ from __future__ import annotations
 import concurrent.futures
 from dataclasses import dataclass
 
-from .bounds import bounding_box_bound
+from .bounds import bounding_box_bound, parity_bound
 from .model import Chain, Folding, Point, complementary
 from .walks import DIRS, enumerate_walk_points
 
@@ -87,7 +78,7 @@ _PREFIX_NODES = 6
 # _PROBE_SUBTREES subtrees (k=3 searched the fewest nodes of k = 1-6).
 _PROBE_SUBTREES = 3
 
-# Base codes: the bound's class layout relies on this order, and X is last.
+# Base codes; X, which never bonds, also stands for no node.
 _BASES = "GCAUX"
 _CODE = {b: c for c, b in enumerate(_BASES)}
 # Complementarity on base codes, from which each search builds its bond rows.
@@ -95,7 +86,7 @@ _COMP = tuple(tuple(complementary(a, b) for b in _BASES) for a in _BASES)
 
 
 class _Stop(Exception):
-    """A score-only search reached the bounding-box bound."""
+    """A score-only search reached the cap."""
 
 
 class LengthLimitError(ValueError):
@@ -119,11 +110,14 @@ class SolveReport:
     the first optimal foldings in deterministic search order, at most
     representative_cap of them (all of them when the cap is None).  In
     score-only mode a subtree yields only the first folding that beats the
-    best so far, so it may list fewer, but at least one whenever
-    representative_cap >= 1.  seed is the probe's best, the score the
-    subtree searches after the probe started pruning from; it is None when
-    no probe ran (pruning off, or 12 bases or fewer), and every search
-    then started from nothing.
+    best so far, and a pruned search stops at the first that reaches the
+    smaller of the bounding-box and parity bounds, so it may list fewer,
+    but at least one whenever representative_cap >= 1.  nodes_explored
+    counts the free cells tried for a node, pruned those the bound cut
+    off, before or after placing the node.  seed is the probe's best, the
+    score the subtree searches after the probe started pruning from; it is
+    None when no probe ran (pruning off, or 12 bases or fewer), and every
+    search then started from nothing.
     """
 
     optimal_score: int
@@ -134,30 +128,23 @@ class SolveReport:
     seed: int | None
 
 
-def _chain_tables(seq: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
-                                     tuple[tuple[bool, ...], ...]]:
+def _chain_tables(seq: str) -> tuple[tuple[int, ...], tuple[tuple[bool, ...], ...]]:
     """The read-only tables of a chain's search, which exact_solve builds
     once and hands to every subtree search.
 
-    Returns (cls, census, nbond, bond), indexed by node (index 0 unused).
+    Returns (nbond, bond), indexed by node (index 0 unused).
     """
     length = len(seq)
-    # cls[i]: (base code << 1) | parity of i for G/C/A/U, so class c pairs
-    # with c ^ 3.  X gets slot 8, whose partner slot 11 stays 0: X never
-    # moves cen.  census[c] counts the nodes of class c.
-    code = [4] + [_CODE[ch] for ch in seq]
-    cls = [8 if c == 4 else (c << 1) | (i & 1) for i, c in enumerate(code)]
-    census = [0] * 12
-    for c in cls[1:]:
-        census[c] += 1
+    x = _CODE["X"]
+    code = [x] + [_CODE[ch] for ch in seq]
     # nbond[p]: number of bondable nodes with index > p.
     nbond = [0] * (length + 1)
     for p in range(length - 1, -1, -1):
-        nbond[p] = nbond[p + 1] + (cls[p + 1] != 8)
+        nbond[p] = nbond[p + 1] + (code[p + 1] != x)
     # bond[i][q]: nodes i and q can bond (complementary, not chain-adjacent).
     bond = tuple(tuple(_COMP[code[i]][code[q]] and abs(i - q) != 1 for q in range(length + 1))
                  for i in range(length + 1))
-    return tuple(cls), tuple(census), tuple(nbond), bond
+    return tuple(nbond), bond
 
 
 def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
@@ -173,7 +160,8 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     Counting starts at the seed score (-1 when there is none) with count 0:
     only walks that actually attain the best score are counted, so a seed
     equal to the optimum still yields the true count.  A pruned score-only
-    search returns as soon as its best reaches the bounding-box bound.
+    search returns as soon as its best reaches cap, exact_solve's upper
+    bound on the chain's score.
 
     dfs(n, steps) places node n + 1 inline, by each step in turn whose cell
     is free, and undoes each placement in reverse once its subtree is
@@ -195,8 +183,7 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     - slack < 0 and its three cells ahead hold no node that i can bond
       with (occ is 0 on an empty cell, and row[0] is False).  This prunes
       exactly the cells the placed bound would: no edge reaches i there,
-      so the child's mu' = mu; the census only falls, so
-      mu' + min(cen', nbond[i]) <= mu + nbond[i] < best + tie.
+      so the child's mu' = mu, and mu' + nbond[i] < best + tie.
     - node j = i + 1 exists and can bond (row_j), slack < 0 or i has no
       partner ahead, and no free cell ahead of the cell has a node that
       j can bond with among its own three cells ahead (ring_of).  Then
@@ -214,15 +201,9 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     the prefix placements once for all subtrees, so the nodes returned are
     the cells tried below the prefix: dfs calls plus prunes, less
     len(prefix).
-
-    Node n never bonds with node n + 1 (they are chain neighbours), and
-    each cell tried is one of n's free cells, so n loses one free cell once
-    per dfs call, not per placement.  Only the three cells ahead are
-    scanned, and the undo rescans them only when one was occupied: a free
-    cell had no free count to restore.
     """
-    (cls, census, nbond, bond), prefix, prune, counting, seed, rep_cap = args
-    length = len(cls) - 1
+    (nbond, bond), prefix, prune, counting, seed, cap, rep_cap = args
+    length = len(nbond) - 1
     width = 2 * length + 1
     dirs4 = tuple(dx * width + dy for dx, dy in DIRS)
     ahead_of = {d: tuple(e for e in dirs4 if e != -d) for d in dirs4}
@@ -236,18 +217,15 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     steps2: list = []
     steps2 += [steps4[0][:2] + (steps2, prune), steps4[1]]
 
-    # next_row[i]: node i + 1's bond row when that node exists and can bond.
-    next_row = [bond[i + 1] if i < length and cls[i + 1] != 8 else None
+    # next_row[i]: node i + 1's bond row when that node exists and can bond,
+    # that is when nbond drops across it.
+    next_row = [bond[i + 1] if i < length and nbond[i] > nbond[i + 1] else None
                 for i in range(length + 1)]
-    avail = list(census)
-    # cen: sum over the four complementary class pairs of min(avail[a], avail[b]).
-    cen = sum(min(avail[c], avail[c ^ 3]) for c in (0, 1, 4, 5))
 
     occ = [0] * (width * width)
     pos = [0] * (length + 1)
     match = [0] * (length + 1)
     adj: list[list[int]] = [[] for _ in range(length + 1)]
-    free_cnt = [0] * (length + 1)
     vis = [0] * (length + 1)
     # Flat journal of (node, previous match) pairs for undoing augmentations.
     undo: list[int] = []
@@ -271,13 +249,13 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     best = seed
     # Counting keeps walks that tie the best; score-only mode prunes ties.
     tie = 0 if counting else 1
-    stop = bounding_box_bound(length) if prune and not counting else None
+    stop = cap if prune and not counting else None
     count = 0
     reps: list[tuple] = []
     pruned = 0
 
     def dfs(n: int, steps):
-        nonlocal best, count, mu, stamp, cen, calls, pruned
+        nonlocal best, count, mu, stamp, calls, pruned
         calls += 1
         if n == length:
             if mu >= best:
@@ -293,22 +271,10 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
             return
         base_cell = pos[n]
         i = n + 1
-        ci = cls[i]
-        cn = cls[n]
         row = bond[i]
         row_j = next_row[i]
         adj_i = adj[i]
         nb = nbond[i]
-        # Whichever cell node i takes is one of node n's free cells, so n
-        # loses it once for all of them.  Each census step moves cen as the
-        # module docstring says.
-        fn = free_cnt[n] - 1
-        free_cnt[n] = fn
-        if not fn:
-            a = avail[cn]
-            if a <= avail[cn ^ 3]:
-                cen -= 1
-            avail[cn] = a - 1
         # slack < 0: i must grow the matching where it lands, and so must
         # node j = i + 1 if it can bond; slack == 0: j must wherever i
         # cannot.  A cell where either cannot is pruned unplaced (see
@@ -336,28 +302,11 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
                         continue
             occ[cell] = i
             pos[i] = cell
-            nfree = 3
             for e in ahead:
                 q = occ[cell + e]
-                if q:
-                    nfree -= 1
-                    f = free_cnt[q] - 1
-                    free_cnt[q] = f
-                    if not f:
-                        c = cls[q]
-                        a = avail[c]
-                        if a <= avail[c ^ 3]:
-                            cen -= 1
-                        avail[c] = a - 1
-                    if row[q]:
-                        adj_i.append(q)
-                        adj[q].append(i)
-            free_cnt[i] = nfree
-            if not nfree:
-                a = avail[ci]
-                if a <= avail[ci ^ 3]:
-                    cen -= 1
-                avail[ci] = a - 1
+                if row[q]:
+                    adj_i.append(q)
+                    adj[q].append(i)
             grown = False
             if adj_i:
                 stamp += 1
@@ -366,9 +315,8 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
                     mu += 1
                     grown = True
 
-            # Parity-census bound: each future bond pairs one available
-            # node of a class with one of its opposite-parity complement.
-            if check and mu + (cen if cen < nb else nb) < best + tie:
+            # Each node still to come adds at most one bond.
+            if check and mu + nb < best + tie:
                 pruned += 1
             else:
                 dfs(i, child_steps)
@@ -383,30 +331,7 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
                 for q in adj_i:
                     adj[q].pop()
                 adj_i.clear()
-            if not nfree:
-                a = avail[ci]
-                if a < avail[ci ^ 3]:
-                    cen += 1
-                avail[ci] = a + 1
-            if nfree < 3:  # some cell ahead is occupied
-                for e in ahead:
-                    q = occ[cell + e]
-                    if q:
-                        f = free_cnt[q]
-                        if not f:
-                            c = cls[q]
-                            a = avail[c]
-                            if a < avail[c ^ 3]:
-                                cen += 1
-                            avail[c] = a + 1
-                        free_cnt[q] = f + 1
             occ[cell] = 0
-        if not fn:
-            a = avail[cn]
-            if a < avail[cn ^ 3]:
-                cen += 1
-            avail[cn] = a + 1
-        free_cnt[n] = fn + 1
 
     # The prefix as forced steps, back to front; a walk has turned once it
     # leaves the x axis.
@@ -418,7 +343,6 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     origin = length * width + length
     occ[origin] = 1
     pos[1] = origin
-    free_cnt[1] = 4
     calls = 0
     try:
         dfs(1, steps)
@@ -465,7 +389,7 @@ def exact_solve(
 
     tables = _chain_tables(chain.seq)
     prefixes = _prefixes(length)
-    cap = bounding_box_bound(length)
+    cap = min(bounding_box_bound(length), parity_bound(chain))
     # The probe (see the module docstring); nothing beats the cap.
     seed = -1
     probe = []
@@ -473,7 +397,8 @@ def exact_solve(
         for prefix in prefixes[:_PROBE_SUBTREES]:
             if seed == cap:
                 break
-            probe.append(_solve_subtree((tables, prefix, True, False, seed, representative_cap)))
+            probe.append(_solve_subtree(
+                (tables, prefix, True, False, seed, cap, representative_cap)))
             seed = probe[-1][0]
 
     if count:
@@ -482,7 +407,7 @@ def exact_solve(
         todo = []  # a pruned score-only search that reached the cap is done
     else:
         todo = prefixes[len(probe):]  # the probe's results stand for its subtrees
-    args = [(tables, prefix, prune, count, seed, representative_cap) for prefix in todo]
+    args = [(tables, prefix, prune, count, seed, cap, representative_cap) for prefix in todo]
     if workers > 1 and len(args) > 1:
         # The pool forks every worker it is given; past one per subtree they sit idle.
         with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:

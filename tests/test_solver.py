@@ -165,9 +165,10 @@ def test_length_limit():
     chain = Chain("G" * 21)
     with pytest.raises(LengthLimitError):
         exact_solve(chain)
-    # Score-only mode prunes ties, so a degenerate 21-base chain stays cheap.
+    # Score-only mode stops at the parity bound 0, so a degenerate 21-base
+    # chain stops at its first leaf.
     report = exact_solve(chain, max_length=21, count=False, representative_cap=0)
-    assert report.optimal_score == 0
+    assert (report.optimal_score, report.nodes_explored) == (0, 21)
 
 
 def test_leaf_count_matches_walk_enumeration():
@@ -196,13 +197,15 @@ def test_node_count_is_the_walk_tree_size(length):
     ("GGAUXCCAUGXXCG", True, (3, 65, 51637, 31063)),
     ("UAGCCGAUUAGCGC", False, (3, None, 4183, 2566)),
     # The benchmark's heaviest search, where the unplaced prune fires most.
-    ("GGGCGGGCCGCGGCCCGCGG", True, (7, 244, 465864, 281417)),
+    ("GGGCGGGCCGCGGCCCGCGG", True, (7, 244, 465919, 281442)),
+    # Skewed: the parity bound 1 ends the search at the probe's first leaf.
+    ("GGGGGGGGGGGGGGGC", False, (1, None, 21, 3)),
 ])
 def test_search_shape_is_pinned(seq, count, expected):
     # Above the partition threshold: these node and prune counts pin the
     # search itself, so a change to the bound, the seed or the visiting
-    # order shows.  Two score-only rows reach the bounding-box bound in the
-    # probe's first subtree and search no other.
+    # order shows.  Three score-only rows reach the cap in the probe's
+    # first subtree and search no other.
     report = exact_solve(parse_chain(seq), count=count)
     got = (report.optimal_score, report.optimal_count, report.nodes_explored, report.pruned)
     assert got == expected
@@ -214,7 +217,7 @@ STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
 
 
 class _Done(Exception):
-    """The reference search reached the bounding-box bound."""
+    """The reference search reached its score-only stop."""
 
 
 def reference_search(seq, count, cuts=None):
@@ -222,38 +225,31 @@ def reference_search(seq, count, cuts=None):
     placement.
 
     After each placement the matching is a fresh maximum matching on the
-    placed nodes' contact graph, and the census is recounted: a bondable
-    node is available when it is unplaced or has a free neighbouring cell.
-    The bound, the tie rule and the score-only stop are those of the
-    wcfold.solver docstring.  So is the prune before placement: with
+    placed nodes' contact graph.  The bound (bonds + unplaced bondable
+    nodes), the tie rule and the score-only stop at the smaller of the
+    bounding-box and parity bounds are those of the wcfold.solver
+    docstring.  So is the prune before placement: with
     slack = mu + (bondable nodes after i) - best - tie, taken when the
     call that places node i starts, a cell is pruned unplaced when
     slack < 0 and i has no partner beside it, or when node j = i + 1 can
     bond, slack < 0 or slack == 0 with no partner of i beside the cell,
     and no free cell beside it has a partner of j beside it.  cuts, if
-    given, counts those j prunes by the sign of slack.  Only for 12 bases
-    or fewer: then the one subtree hangs below the prefix (0, 0), (1, 0)
-    and starts from nothing.  Returns (optimal_score, optimal_count, every
-    optimal folding's points, nodes_explored, pruned).
+    given, counts those j prunes by the sign of slack, and under
+    "parity stop" the stops below the bounding-box bound.  Only for 12
+    bases or fewer: then the one subtree hangs below the prefix (0, 0),
+    (1, 0) and starts from nothing.  Returns (optimal_score,
+    optimal_count, every optimal folding's points, nodes_explored, pruned).
     """
     assert len(seq) <= 12
     length = len(seq)
     tie = 0 if count else 1
-    stop = None if count else bounding_box_bound(length)
+    stop = None if count else min(bounding_box_bound(length), parity_bound(Chain(seq)))
     prefix = [(0, 0), (1, 0)][:length]
     best, found, reps, nodes, pruned = -1, 0, [], len(prefix), 0
 
     def matched(pts):
         placed = contact_graph(Chain(seq[:len(pts)]), Folding(tuple(pts)))
         return len(maximum_bipartite_matching(placed))
-
-    def census(pts):
-        """sum over the complementary class pairs of min(avail[a], avail[b])."""
-        occupied = set(pts)
-        avail = Counter((base, j % 2) for j, base in enumerate(seq, start=1)
-                        if j > len(pts) or not occupied.issuperset(
-                            (pts[j - 1][0] + dx, pts[j - 1][1] + dy) for dx, dy in STEPS))
-        return sum(min(avail[a, p], avail[b, 1 - p]) for a, b in ("GC", "AU") for p in (0, 1))
 
     def beside(cell):
         return [(cell[0] + dx, cell[1] + dy) for dx, dy in STEPS]
@@ -272,6 +268,8 @@ def reference_search(seq, count, cuts=None):
                 found += 1
                 reps.append(tuple(pts))
                 if best == stop:
+                    if cuts is not None and stop < bounding_box_bound(length):
+                        cuts["parity stop"] += 1
                     raise _Done
             return
         i = len(pts) + 1
@@ -294,7 +292,7 @@ def reference_search(seq, count, cuts=None):
                 continue
             bonds = matched(nxt)
             unplaced = len(seq[len(nxt):].replace("X", ""))
-            if bonds + min(census(nxt), unplaced) < best + tie:
+            if bonds + unplaced < best + tie:
                 pruned += 1
             else:
                 search(nxt, turned or dy != 0, bonds)
@@ -313,14 +311,16 @@ def _reference_chains():
     # 10-12 bases, with A/U and X, where both j prunes fire.
     longer = ["GGCAUXCCGAUG", "AUGCXGCAUAGC", "GGXCCAUUAGCC", "CAUGGCXAUCG", "GCAUGCAUGC",
               "GGGCCCXGCCGG"]
-    return gc + mixed + longer
+    # Skewed chains, whose parity bound ends a score-only search.
+    skewed = ["GGGGGGGGGC", "CCGGGGGGGG", "AAAAGGGGGC"]
+    return gc + mixed + longer + skewed
 
 
 @pytest.mark.parametrize("count", [True, False])
 def test_search_matches_a_from_scratch_reference(count):
-    # Node for node: the incremental census, matching and undo, and the
-    # prunes before placement, must leave the search exactly where
-    # recomputing everything would.
+    # Node for node: the incremental matching and undo, and the prunes
+    # before placement, must leave the search exactly where recomputing
+    # everything would.
     cuts = Counter()
     for seq in _reference_chains():
         report = exact_solve(Chain(seq), count=count, representative_cap=None)
@@ -328,8 +328,10 @@ def test_search_matches_a_from_scratch_reference(count):
                tuple(rep.points for rep in report.representatives),
                report.nodes_explored, report.pruned)
         assert got == reference_search(seq, count, cuts), seq
-    # Both j prunes, slack < 0 and slack == 0, are exercised.
+    # Both j prunes, slack < 0 and slack == 0, are exercised, and so is
+    # the parity stop in score-only mode.
     assert cuts[True] and cuts[False], cuts
+    assert bool(cuts["parity stop"]) == (not count), cuts
 
 
 def test_worker_determinism_small():

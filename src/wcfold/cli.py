@@ -374,6 +374,10 @@ def main(argv=None) -> int:
     except LengthLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMIT
+    except RecursionError:  # the exact search recurses once per base
+        print(f"error: the search is deeper than the interpreter's recursion limit "
+              f"({sys.getrecursionlimit()}); search a shorter chain", file=sys.stderr)
+        return EXIT_LIMIT
     except ValueError as exc:  # usage, parse, validation and layout errors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

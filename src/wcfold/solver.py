@@ -141,7 +141,7 @@ def _chain_tables(seq: str) -> tuple[tuple[int, ...], tuple[tuple[bool, ...], ..
     nbond = [0] * (length + 1)
     for p in range(length - 1, -1, -1):
         nbond[p] = nbond[p + 1] + (code[p + 1] != x)
-    # bond[i][q]: nodes i and q can bond (complementary, not chain-adjacent).
+    # bond[i][q]: nodes i and q can bond (complementary, not consecutive on the chain).
     bond = tuple(tuple(_COMP[code[i]][code[q]] and abs(i - q) != 1 for q in range(length + 1))
                  for i in range(length + 1))
     return tuple(nbond), bond
@@ -175,26 +175,31 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     prunes it, and may reach the leaf inside it.  check is the same for
     every step of a list, so steps[0][3] stands for the list.
 
+    Bond partners are read from the grid: try_node takes as u's partners
+    the nodes in the four cells around it that bond[u] admits (occ is 0 on
+    an empty cell, and no row admits 0).  For each free cell, hit reads
+    i's three cells ahead once; it decides the prunes below and whether
+    the placed i tries to augment.
+
     Before its step loop, dfs takes slack = mu + nbond[i] - best - tie
     when check holds, for the node i = n + 1 it places; best only rises
     within a call, so a slack taken at its start only overstates.  With
     slack <= 0 a free cell is pruned without being placed when:
 
-    - slack < 0 and its three cells ahead hold no node that i can bond
-      with (occ is 0 on an empty cell, and row[0] is False).  This prunes
-      exactly the cells the placed bound would: no edge reaches i there,
-      so the child's mu' = mu, and mu' + nbond[i] < best + tie.
-    - node j = i + 1 exists and can bond (row_j), slack < 0 or i has no
-      partner ahead, and no free cell ahead of the cell has a node that
-      j can bond with among its own three cells ahead (ring_of).  Then
-      mu' <= mu + 1, with mu' = mu where i has no partner, and
-      nbond[j] = nbond[i] - 1, so the child's own slack is negative: it
-      prunes every free cell it tries, for its steps are among the free
-      cells ahead, whose cells ahead hold now what they would hold then.
-      The child would place nothing and reach no leaf, so the cell costs
-      one prune instead of a call and the child's prunes.  Before the
-      walk's first turn the child tries only two of the three cells,
-      and there this test prunes less than it could.
+    - slack < 0 and not hit.  This prunes exactly the cells the placed
+      bound would: no edge reaches i there, so the child's mu' = mu, and
+      mu' + nbond[i] < best + tie.
+    - node j = i + 1 exists and can bond (row_j), slack < 0 or not hit,
+      and no free cell ahead of the cell has a node that j can bond with
+      among its own three cells ahead (ring_of).  Then mu' <= mu + 1,
+      with mu' = mu where i has no partner, and nbond[j] = nbond[i] - 1,
+      so the child's own slack is negative: it prunes every free cell it
+      tries, for its steps are among the free cells ahead, whose cells
+      ahead hold now what they would hold then.  The child would place
+      nothing and reach no leaf, so the cell costs one prune instead of a
+      call and the child's prunes.  Before the walk's first turn the child
+      tries only two of the three cells, and there this test prunes less
+      than it could.
 
     A cell tried is a free cell: it is pruned, before or after its
     placement, or placed and searched by a dfs call.  exact_solve counts
@@ -225,7 +230,6 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     occ = [0] * (width * width)
     pos = [0] * (length + 1)
     match = [0] * (length + 1)
-    adj: list[list[int]] = [[] for _ in range(length + 1)]
     vis = [0] * (length + 1)
     # Flat journal of (node, previous match) pairs for undoing augmentations.
     undo: list[int] = []
@@ -233,17 +237,19 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     mu = 0
 
     def try_node(u: int) -> bool:
-        """Kuhn augmenting-path step from u, journalling every rematch."""
-        for q in adj[u]:
-            if vis[q] == stamp:
-                continue
-            vis[q] = stamp
-            w = match[q]
-            if w == 0 or try_node(w):
-                undo.extend((q, w, u, match[u]))
-                match[q] = u
-                match[u] = q
-                return True
+        """Kuhn augmenting-path step from u over the grid, journalling every rematch."""
+        row = bond[u]
+        p = pos[u]
+        for d in dirs4:
+            q = occ[p + d]
+            if row[q] and vis[q] != stamp:
+                vis[q] = stamp
+                w = match[q]
+                if w == 0 or try_node(w):
+                    undo.extend((q, w, u, match[u]))
+                    match[q] = u
+                    match[u] = q
+                    return True
         return False
 
     best = seed
@@ -273,7 +279,6 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
         i = n + 1
         row = bond[i]
         row_j = next_row[i]
-        adj_i = adj[i]
         nb = nbond[i]
         # slack < 0: i must grow the matching where it lands, and so must
         # node j = i + 1 if it can bond; slack == 0: j must wherever i
@@ -284,9 +289,9 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
             cell = base_cell + d
             if occ[cell]:
                 continue
+            e1, e2, e3 = ahead
+            hit = row[occ[cell + e1]] or row[occ[cell + e2]] or row[occ[cell + e3]]
             if slack <= 0:
-                e1, e2, e3 = ahead
-                hit = row[occ[cell + e1]] or row[occ[cell + e2]] or row[occ[cell + e3]]
                 if not hit and slack:
                     pruned += 1
                     continue
@@ -302,13 +307,8 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
                         continue
             occ[cell] = i
             pos[i] = cell
-            for e in ahead:
-                q = occ[cell + e]
-                if row[q]:
-                    adj_i.append(q)
-                    adj[q].append(i)
             grown = False
-            if adj_i:
+            if hit:
                 stamp += 1
                 mark = len(undo)
                 if try_node(i):
@@ -321,16 +321,15 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
             else:
                 dfs(i, child_steps)
 
-            # Undo in reverse.
+            # Undo in reverse.  The journal restores the exact matching: a node
+            # that did not grow it may since have been matched, as the free end
+            # of a descendant's augmenting path, so unmatching i alone could
+            # leave it one short of maximum.
             if grown:
                 mu -= 1
                 for k in range(len(undo) - 2, mark - 2, -2):
                     match[undo[k]] = undo[k + 1]
                 del undo[mark:]
-            if adj_i:
-                for q in adj_i:
-                    adj[q].pop()
-                adj_i.clear()
             occ[cell] = 0
 
     # The prefix as forced steps, back to front; a walk has turned once it

@@ -56,6 +56,15 @@ def test_solve_limit_exit_code(capsys):
     assert "limit 20" in err and "--max-length" in err
 
 
+def test_recursion_limit_exit_code(capsys):
+    # The score-only search stops at its first leaf, but reaches it one
+    # recursive call per base.
+    code, out, err = run_cli(capsys, "approx", "G" * 1100, "--exact", "--max-length", "1100")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: the search is deeper")
+
+
 def test_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "solve", "GQ")
     assert code == 1

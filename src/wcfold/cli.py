@@ -4,9 +4,10 @@ Subcommands: solve, bound, gen, approx, reduce, verify, render.  Results
 are emitted as a line-oriented key/value document (--format text, default)
 or JSON (--format structured); both are deterministic for fixed inputs and
 flags.  Wall-clock timing goes to stderr.  Exit codes: 0 success, 1 usage
-or parse error, 2 length-limit error, 3 verification failed, 4 file
-read/write error, 5 internal consistency check failed.  Each failure prints
-one `error:` line on stderr; a failed verification still emits its document
+or parse error, 2 length limit exceeded or a search deeper than the
+interpreter's recursion limit, 3 verification failed, 4 file read/write
+error, 5 internal consistency check failed.  Each failure prints one
+`error:` line on stderr; a failed verification still emits its document
 and its elapsed line first, then `error: verification failed`.
 """
 

@@ -40,17 +40,15 @@ A subtree search starts its best-so-far from a seed, the score of a real
 folding and so a valid lower bound, or from nothing (-1), in which case
 its first leaf is recorded whatever it scores.  Pruning pays only when the
 seed is the optimum: a walk that merely ties a weak seed is still expanded
-in count mode.  So on a partitioned chain, with pruning on, a probe first
-searches the first _PROBE_SUBTREES subtrees in score-only mode, in order
-and in the calling process, the first from nothing and each later one from
-the best score so far; on every chain measured the optimum lies in one of
-them.  The probe's best is the seed of every other subtree search.  In
-score-only mode the probe's results stand for its own subtrees and only
-the rest are searched; in count mode every subtree is counted from the
-seed.  The probe depends only on the chain, so reports stay identical for
-any worker count.  Without a probe every subtree starts from nothing.
+in count mode.  So one seeded pass searches subtrees in score-only mode,
+in order and in the calling process, each from the best score so far.  A
+score-only search is that pass over every subtree.  In count mode, with
+pruning on, a partitioned chain's pass is a probe cut after its first
+_PROBE_SUBTREES subtrees, whose best, which may fall short of the optimum,
+seeds the counting of every subtree, in a pool when there are workers.
+Reports thus stay identical for any worker count.
 
-A pruned score-only search stops once its best reaches the cap, the
+A pruned score-only pass stops once its best reaches the cap, the
 smaller of the bounding-box bound and the parity bound (wcfold.bounds),
 which no folding can beat.  That costs no compare per node: a leaf is
 reached only by a walk that improves the best.  The parity bound ends the
@@ -74,8 +72,10 @@ DEFAULT_REPRESENTATIVE_CAP = 16
 # _PREFIX_NODES nodes.  Fixed by length only, never by worker count.
 _PARTITION_THRESHOLD = 12
 _PREFIX_NODES = 6
-# A partitioned chain's seed comes from a score-only search of its first
-# _PROBE_SUBTREES subtrees (k=3 searched the fewest nodes of k = 1-6).
+# Count mode's probe searches a partitioned chain's first _PROBE_SUBTREES
+# subtrees.  k = 1-6 count the solve corpus's count chains in 1,488,391 /
+# 1,365,438 / 1,337,459 / 1,346,976 / 1,323,529 / 1,332,515 nodes; k = 5
+# is fewest, but its pool makespan is unmeasured.
 _PROBE_SUBTREES = 3
 
 # Base codes; X, which never bonds, also stands for no node.
@@ -114,10 +114,10 @@ class SolveReport:
     smaller of the bounding-box and parity bounds, so it may list fewer,
     but at least one whenever representative_cap >= 1.  nodes_explored
     counts the free cells tried for a node, pruned those the bound cut
-    off, before or after placing the node.  seed is the probe's best, the
-    score the subtree searches after the probe started pruning from; it is
-    None when no probe ran (pruning off, or 12 bases or fewer), and every
-    search then started from nothing.
+    off, before or after placing the node.  seed is the seeded pass's
+    best: the probe's in count mode, which every subtree was counted from,
+    and the optimum in score-only mode.  It is None with pruning off or at
+    12 bases or fewer; count-mode searches then start from nothing.
     """
 
     optimal_score: int
@@ -389,36 +389,32 @@ def exact_solve(
     tables = _chain_tables(chain.seq)
     prefixes = _prefixes(length)
     cap = min(bounding_box_bound(length), parity_bound(chain))
-    # The probe (see the module docstring); nothing beats the cap.
+    # The seeded pass (see the module docstring): all of a score-only search,
+    # or count mode's probe.  A pruned pass ends at the cap.
+    probed = prune and length > _PARTITION_THRESHOLD
     seed = -1
-    probe = []
-    if prune and length > _PARTITION_THRESHOLD:
-        for prefix in prefixes[:_PROBE_SUBTREES]:
-            if seed == cap:
-                break
-            probe.append(_solve_subtree(
-                (tables, prefix, True, False, seed, cap, representative_cap)))
-            seed = probe[-1][0]
+    passed = []
+    for prefix in prefixes if not count else prefixes[:_PROBE_SUBTREES] if probed else ():
+        if prune and seed == cap:
+            break
+        passed.append(_solve_subtree((tables, prefix, prune, False, seed, cap, representative_cap)))
+        seed = passed[-1][0]
 
+    results = passed
     if count:
-        todo = prefixes
-    elif seed == cap:
-        todo = []  # a pruned score-only search that reached the cap is done
-    else:
-        todo = prefixes[len(probe):]  # the probe's results stand for its subtrees
-    args = [(tables, prefix, prune, count, seed, cap, representative_cap) for prefix in todo]
-    if workers > 1 and len(args) > 1:
-        # The pool forks every worker it is given; past one per subtree they sit idle.
-        with concurrent.futures.ProcessPoolExecutor(max_workers=min(workers, len(args))) as pool:
-            results = list(pool.map(_solve_subtree, args))
-    else:
-        results = [_solve_subtree(a) for a in args]
+        args = [(tables, prefix, prune, True, seed, cap, representative_cap) for prefix in prefixes]
+        if workers > 1 and len(args) > 1:
+            # The pool forks every worker it is given; past one per subtree they sit idle.
+            workers = min(workers, len(args))
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_solve_subtree, args))
+        else:
+            results = [_solve_subtree(a) for a in args]
 
-    searched = probe + results
-    nodes = _prefix_tree_size(prefixes[:len(probe)] + todo) + sum(r[3] for r in searched)
+    searched = passed + results if count else passed
+    nodes = _prefix_tree_size(prefixes if count else prefixes[:len(passed)])
+    nodes += sum(r[3] for r in searched)
     pruned = sum(r[4] for r in searched)
-    if not count:
-        results = searched
     best = max(r[0] for r in results)
     total_count = 0
     reps: list[Folding] = []
@@ -435,12 +431,13 @@ def exact_solve(
         representatives=tuple(reps),
         nodes_explored=nodes,
         pruned=pruned,
-        seed=seed if probe else None,
+        seed=seed if probed else None,
     )
 
 
 def optimal_score(chain: Chain, **kwargs) -> int:
-    """Optimal bond count only (faster: ties are pruned)."""
+    """Optimal bond count only, by one seeded pass in the calling process
+    (faster: ties are pruned; workers is unused)."""
     kwargs.setdefault("count", False)
     kwargs.setdefault("representative_cap", 0)
     return exact_solve(chain, **kwargs).optimal_score

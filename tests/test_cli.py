@@ -63,6 +63,12 @@ def test_recursion_limit_exit_code(capsys):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: the search is deeper")
+    # `wcfold --help` names both causes of exit 2.
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert ("2 length limit exceeded or a search deeper than the interpreter's "
+            "recursion limit") in help_text
 
 
 def test_parse_error_exit_code(capsys):

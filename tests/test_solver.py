@@ -198,14 +198,19 @@ def test_node_count_is_the_walk_tree_size(length):
     ("UAGCCGAUUAGCGC", False, (3, None, 4183, 2566)),
     # The benchmark's heaviest search, where the unplaced prune fires most.
     ("GGGCGGGCCGCGGCCCGCGG", True, (7, 244, 465919, 281442)),
-    # Skewed: the parity bound 1 ends the search at the probe's first leaf.
+    # Skewed: the parity bound 1 ends the search at its first leaf.
     ("GGGGGGGGGGGGGGGC", False, (1, None, 21, 3)),
+    # Score-only past the first 3 subtrees, whose best is 4 and 3 against
+    # optima 5 and 4: each later subtree starts from the best so far.  The
+    # first row stops at its parity bound 5, the second runs to the end.
+    ("GCGGCGCGGGGCGC", False, (5, None, 447, 264)),
+    ("CAUGCCGUUGCGAA", False, (4, None, 2889, 1757)),
 ])
 def test_search_shape_is_pinned(seq, count, expected):
     # Above the partition threshold: these node and prune counts pin the
     # search itself, so a change to the bound, the seed or the visiting
-    # order shows.  Three score-only rows reach the cap in the probe's
-    # first subtree and search no other.
+    # order shows.  Three score-only rows reach the cap in the first
+    # subtree and search no other.
     report = exact_solve(parse_chain(seq), count=count)
     got = (report.optimal_score, report.optimal_count, report.nodes_explored, report.pruned)
     assert got == expected
@@ -368,7 +373,9 @@ def test_worker_determinism_without_a_probe(count):
 
 def test_pool_has_at_most_one_worker_per_subtree(monkeypatch):
     # A 13-base chain splits into 36 subtrees; the pool forks every worker
-    # it is asked for, so workers=64 must ask for 36.  The fake maps in-process.
+    # it is asked for, so workers=64 must ask for 36 in count mode.  A
+    # score-only search is one pass in the calling process and asks for
+    # none.  The fake maps in-process.
     sizes = []
 
     class InProcessPool:
@@ -389,6 +396,13 @@ def test_pool_has_at_most_one_worker_per_subtree(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     assert exact_solve(chain, workers=64) == expected
     assert sizes == [36]
+    # The first 3 subtrees reach 4, and a later one the optimum 5.
+    score_only = parse_chain("CCCCGGCCGGGCG")
+    expected = exact_solve(score_only, workers=1, count=False)
+    assert exact_solve(score_only, workers=64, count=False) == expected
+    assert (expected.optimal_score, sizes) == (5, [36])
+    assert exact_solve(score_only, workers=64).optimal_score == 5
+    assert sizes == [36, 36]
 
 
 def test_score_only_mode():
@@ -397,7 +411,7 @@ def test_score_only_mode():
     report = exact_solve(chain, count=False, representative_cap=0)
     assert report.optimal_count is None
     # An optimal folding is listed also when no walk beats the first one
-    # found: the probe's first subtree reaches the bound 9 on G^10 C^10.
+    # found: the pass's first subtree reaches the bound 9 on G^10 C^10.
     for seq, best in [("GC", 0), ("G" * 10 + "C" * 10, 9), ("GGGG", 0)]:
         chain = Chain(seq)
         report = exact_solve(chain, count=False)

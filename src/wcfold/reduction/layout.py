@@ -20,13 +20,17 @@ tails and the far-end turnaround are implicit).  Segments advance by whole
 gadget periods (4 cells flex, 8 rigid), at least one each.  A turn bends
 the corridor 90 degrees; fixed turns bake the direction in, variable turns
 take it from a truth assignment (the declared true= direction for True,
-its mirror for False).  Variable turns come in partner pairs with opposite
-true directions, so the corridor heading and strand alignment are restored
-after the pair for every assignment.  A rigid segment tagged clause=NAME is
-that clause's coupling: it must sit between the partnered turns of one of
-the clause's literals, where only the satisfying bend direction keeps its
-8-cycle pattern aligned.  Every clause needs a coupling and every variable
-a turn pair.
+its mirror for False).  Variable turns pair in route order: each opens
+a pair or closes the open one, so pairs neither nest nor cross.  A pair's
+two turns share a variable, name each other as partner= and bend opposite
+ways, so the corridor heading and strand alignment are restored after the
+pair for every assignment.  A rigid segment tagged clause=NAME is that
+clause's coupling: it must sit inside a pair of one of the clause's
+literals, where only the satisfying bend direction keeps its 8-cycle
+pattern aligned.  Every clause needs a coupling and every variable a turn
+pair.  Segment, Turn and SatLayout check themselves when built, the
+layout in one pass in route order, so that of several faults the first
+is named.
 """
 
 from __future__ import annotations
@@ -49,6 +53,12 @@ class Segment:
     kind: str               # "flex" | "rigid"
     periods: int
     clause: str | None = None
+
+    def __post_init__(self):
+        if self.kind not in PERIODS:
+            raise LayoutError(f"unknown segment kind {self.kind!r}")
+        if self.periods < 1:
+            raise LayoutError(f"segment needs at least 1 period, got {self.periods}")
 
     @property
     def cells(self) -> int:
@@ -77,14 +87,12 @@ class SatLayout:
     def __post_init__(self):
         # A read-only copy, so the frozen layout cannot change behind its back.
         object.__setattr__(self, "clauses", MappingProxyType(dict(self.clauses)))
-
-    @property
-    def variable_turns(self) -> list[Turn]:
-        return [e for e in self.elements if isinstance(e, Turn) and e.variable is not None]
+        _check(self)
 
     @property
     def turn_count(self) -> int:
-        return len(self.variable_turns)
+        """t, the number of variable turns."""
+        return sum(isinstance(e, Turn) and e.variable is not None for e in self.elements)
 
 
 def _opposite(direction: str) -> str:
@@ -140,14 +148,8 @@ def parse_layout(text: str) -> SatLayout:
                     raise LayoutError(f"clause {parts[1]} declared more than once")
                 clauses[parts[1]] = tuple(" ".join(parts[3:]).replace(",", " ").split())
             elif word == "segment":
-                kind = parts[1]
-                if kind not in PERIODS:
-                    raise LayoutError(f"unknown segment kind {kind!r}")
-                periods = int(parts[2])
-                if periods < 1:
-                    raise LayoutError(f"segment needs at least 1 period, got {periods}")
                 clause = _options(parts[3:], ("clause",)).get("clause")
-                elements.append(Segment(kind=kind, periods=periods, clause=clause))
+                elements.append(Segment(parts[1], int(parts[2]), clause))
             elif word == "turn":
                 ident, kind = parts[1], parts[2]
                 if kind == "fixed":
@@ -166,95 +168,89 @@ def parse_layout(text: str) -> SatLayout:
 
     if spacing is None:
         raise LayoutError("layout must declare spacing")
-    layout = SatLayout(
+    return SatLayout(
         spacing=spacing, variables=tuple(variables), clauses=clauses, elements=tuple(elements)
     )
-    validate_layout(layout)
-    return layout
 
 
 def load_layout(path) -> SatLayout:
     return parse_layout(Path(path).read_text())
 
 
-def validate_layout(layout: SatLayout) -> None:
-    if not layout.elements:
+def _check(layout: SatLayout) -> None:
+    """Check the layout in one pass in route order, so that the first
+    faulty element is the one named."""
+    elements = layout.elements
+    if not elements:
         raise LayoutError("layout has no route elements")
-    if not isinstance(layout.elements[0], Segment):
+    if not isinstance(elements[0], Segment):
         raise LayoutError("the route must start with a segment")
-
-    t = layout.turn_count
-    if layout.spacing <= 40 * t:
-        raise LayoutError(
-            f"spacing {layout.spacing} violates the corridor rule: must exceed "
-            f"40 * t = {40 * t} for t = {t} variable turns"
-        )
-
-    turns = {e.ident: e for e in layout.elements if isinstance(e, Turn)}
-    if len(turns) != sum(isinstance(e, Turn) for e in layout.elements):
-        raise LayoutError("turn identifiers must be unique")
-
-    for turn in layout.variable_turns:
-        if turn.variable not in layout.variables:
-            raise LayoutError(f"turn {turn.ident} uses undeclared variable {turn.variable}")
-        partner = turns.get(turn.partner or "")
-        if partner is None or partner.variable is None:
-            raise LayoutError(f"variable turn {turn.ident} has no partner turn")
-        if partner.partner != turn.ident or partner.variable != turn.variable:
-            raise LayoutError(
-                f"turns {turn.ident} and {turn.partner} are not a mutual pair"
-            )
-        if partner.direction != _opposite(turn.direction):
-            raise LayoutError(
-                f"partner turns {turn.ident}/{partner.ident} must bend opposite ways"
-            )
-
     for name, literals in layout.clauses.items():
         for var in literals:
             if var not in layout.variables:
                 raise LayoutError(f"clause {name} references undeclared variable {var}")
 
-    # Variable turns need bendable (4-cycle) context on both sides, and a
-    # clause coupling must sit strictly between the partnered turns of one
-    # of its literals.
-    for i, elem in enumerate(layout.elements):
-        if isinstance(elem, Turn) and elem.variable is not None:
-            before = layout.elements[i - 1] if i else None
-            after = layout.elements[i + 1] if i + 1 < len(layout.elements) else None
-            for nb in (before, after):
-                if not (isinstance(nb, Segment) and nb.kind == "flex"):
-                    raise LayoutError(
-                        f"variable turn {elem.ident} must be flanked by flex segments"
-                    )
-
-    open_pairs: dict[str, str] = {}  # variable -> opening turn ident
-    for elem in layout.elements:
-        if isinstance(elem, Turn) and elem.variable is not None:
-            if elem.variable in open_pairs:
-                del open_pairs[elem.variable]
-            else:
-                open_pairs[elem.variable] = elem.ident
-        elif isinstance(elem, Segment) and elem.clause is not None:
+    idents: set[str] = set()
+    turned: list[str] = []       # the variable of each variable turn
+    coupled: set[str] = set()    # clauses with a coupling
+    opened: Turn | None = None   # the variable turn of the open pair
+    for i, elem in enumerate(elements):
+        if isinstance(elem, Segment):
+            if elem.clause is None:
+                continue
             if elem.kind != "rigid":
                 raise LayoutError(f"clause coupling for {elem.clause} must be rigid")
             if elem.clause not in layout.clauses:
                 raise LayoutError(f"coupling references undeclared clause {elem.clause}")
-            literals = layout.clauses[elem.clause]
-            if not any(v in open_pairs for v in literals):
+            if opened is None or opened.variable not in layout.clauses[elem.clause]:
                 raise LayoutError(
                     f"clause {elem.clause} coupling is not between the partnered "
                     "turns of any of its literals"
                 )
-    if open_pairs:
-        raise LayoutError(f"unclosed variable turn pair for {sorted(open_pairs)}")
+            coupled.add(elem.clause)
+            continue
+        if elem.ident in idents:
+            raise LayoutError("turn identifiers must be unique")
+        idents.add(elem.ident)
+        if elem.variable is None:
+            continue
+        if elem.variable not in layout.variables:
+            raise LayoutError(f"turn {elem.ident} uses undeclared variable {elem.variable}")
+        # A variable turn needs bendable (4-cycle) context on both sides.
+        for nb in elements[i - 1], elements[i + 1] if i + 1 < len(elements) else None:
+            if not (isinstance(nb, Segment) and nb.kind == "flex"):
+                raise LayoutError(f"variable turn {elem.ident} must be flanked by flex segments")
+        turned.append(elem.variable)
+        if opened is None:
+            opened = elem
+            continue
+        # Two open pairs' alignment shifts would cancel inside both, so a
+        # coupling there would read the XNOR of their variables.
+        if elem.variable != opened.variable:
+            raise LayoutError(
+                f"variable turn {elem.ident} is inside the pair that turn {opened.ident} opens"
+            )
+        if opened.partner != elem.ident or elem.partner != opened.ident:
+            raise LayoutError(f"turns {opened.ident} and {elem.ident} are not a mutual pair")
+        if elem.direction != _opposite(opened.direction):
+            raise LayoutError(
+                f"partner turns {opened.ident}/{elem.ident} must bend opposite ways"
+            )
+        opened = None
+    if opened is not None:
+        raise LayoutError(f"variable turn {opened.ident} has no partner turn")
 
+    t = len(turned)
+    if layout.spacing <= 40 * t:
+        raise LayoutError(
+            f"spacing {layout.spacing} violates the corridor rule: must exceed "
+            f"40 * t = {40 * t} for t = {t} variable turns"
+        )
     # A clause without a coupling is not encoded in the molecule, so no
     # assignment falsifies it; a variable without a turn pair changes nothing.
-    coupled = {e.clause for e in layout.elements if isinstance(e, Segment)}
     for name in layout.clauses:
         if name not in coupled:
             raise LayoutError(f"clause {name} has no rigid coupling segment")
-    turned = {turn.variable for turn in layout.variable_turns}
     for var in layout.variables:
         if var not in turned:
             raise LayoutError(f"variable {var} has no variable turn pair")

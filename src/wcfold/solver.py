@@ -381,6 +381,10 @@ def exact_solve(
     keeps every optimal folding.  With count=False the search returns only
     the optimal score (optimal_count is None and ties are pruned more
     aggressively).
+
+    The search recurses once per base, so past about 990 bases (with
+    max_length raised, at the default recursion limit of 1000) it raises
+    RecursionError; `wcfold` maps that to exit 2.
     """
     length = len(chain)
     if length > max_length:
@@ -437,7 +441,8 @@ def exact_solve(
 
 def optimal_score(chain: Chain, **kwargs) -> int:
     """Optimal bond count only, by one seeded pass in the calling process
-    (faster: ties are pruned; workers is unused)."""
+    (faster: ties are pruned; workers is unused).  Like exact_solve, it
+    recurses once per base and raises RecursionError past about 990 bases."""
     kwargs.setdefault("count", False)
     kwargs.setdefault("representative_cap", 0)
     return exact_solve(chain, **kwargs).optimal_score

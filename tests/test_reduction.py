@@ -487,6 +487,44 @@ def test_malformed_line_is_named(lineno, line, replaced, reason):
     assert str(err.value) == f"line {lineno}: {reason}"
 
 
+# A pair of y inside x's pair.  Inside both, the two pairs' alignment
+# shifts cancel, so c1's coupling would read x XNOR y, not x.
+NESTED = """spacing 200
+variable x
+variable y
+clause c1 literals x
+segment flex 2
+turn u variable x true=left partner=v
+segment flex 2
+turn p variable y true=right partner=q
+segment flex 4
+segment rigid 2 clause=c1
+segment flex 13
+turn q variable y true=left partner=p
+segment flex 2
+turn v variable x true=right partner=u
+segment flex 2
+"""
+
+# Four turns of x whose partner= declarations pair a with d and b with c;
+# route order pairs a with b.
+CROSSED = """spacing 200
+variable x
+clause c1 literals x
+segment flex 2
+turn a variable x true=left partner=d
+segment flex 4
+segment rigid 2 clause=c1
+segment flex 13
+turn b variable x true=right partner=c
+segment flex 2
+turn c variable x true=left partner=b
+segment flex 2
+turn d variable x true=right partner=a
+segment flex 2
+"""
+
+
 @pytest.mark.parametrize("text,reason", [
     (BLOCK.replace("spacing 84\n", ""), "layout must declare spacing"),
     ("spacing 1\n", "layout has no route elements"),
@@ -499,12 +537,36 @@ def test_malformed_line_is_named(lineno, line, replaced, reason):
     (BLOCK.replace("segment rigid 2 clause=c1", "segment flex 2 clause=c1"),
      "clause coupling for c1 must be rigid"),
     (BLOCK.replace("clause=c1", "clause=c2"), "coupling references undeclared clause c2"),
+    (NESTED, "variable turn p is inside the pair that turn u opens"),
+    (CROSSED, "turns a and b are not a mutual pair"),
+    # Two faults: the coupling is flex and v bends the same way as u.  The
+    # coupling comes first in route order, so it is the one named.
+    (BLOCK.replace("segment rigid 2", "segment flex 2").replace("true=right", "true=left"),
+     "clause coupling for c1 must be rigid"),
 ], ids=["no-spacing", "no-elements", "turn-first", "duplicate-turn", "turn-variable",
-        "not-mutual", "clause-variable", "flex-coupling", "coupling-clause"])
+        "not-mutual", "clause-variable", "flex-coupling", "coupling-clause", "nested",
+        "crossed", "first-of-two"])
 def test_invalid_layout_message(text, reason):
-    """One fault in an otherwise valid layout, and the exact message."""
+    """A faulty layout and the exact message, which names its first fault
+    in route order."""
     with pytest.raises(LayoutError) as caught:
         parse_layout(text)
+    assert str(caught.value) == reason
+
+
+@pytest.mark.parametrize("build,reason", [
+    (lambda: SatLayout(spacing=1), "layout has no route elements"),
+    (lambda: SatLayout(spacing=84, elements=(
+        Segment("flex", 2), Turn("u", "left", "x", "v"), Segment("flex", 2),
+        Turn("v", "right", "x", "u"), Segment("flex", 2))),
+     "turn u uses undeclared variable x"),
+    (lambda: Segment("loop", 2), "unknown segment kind 'loop'"),
+    (lambda: Segment("flex", 0), "segment needs at least 1 period, got 0"),
+], ids=["no-elements", "turn-variable", "segment-kind", "zero-periods"])
+def test_hand_built_layout_is_checked(build, reason):
+    """Hand-built layouts and elements are checked as parsed ones are."""
+    with pytest.raises(LayoutError) as caught:
+        build()
     assert str(caught.value) == reason
 
 
@@ -521,7 +583,7 @@ def test_layout_clauses_are_read_only():
         layout.clauses["zz"] = ("x",)
     # A hand-built layout keeps its own copy: the caller's dict cannot reach it.
     clauses = {"c1": ("x",)}
-    built = SatLayout(spacing=84, variables=("x",), clauses=clauses)
+    built = SatLayout(spacing=84, variables=("x",), clauses=clauses, elements=layout.elements)
     clauses["zz"] = ("x",)
     assert dict(built.clauses) == {"c1": ("x",)}
     with pytest.raises(TypeError):

@@ -20,8 +20,8 @@ floor(ceil(P/2) / 2) pairs.  If any folding has a bond, it joins an odd
 node and an even node i < j, complementary, so j - i >= 3.  In the branch
 whose classes hold them, the side role with i's class on the left arm has
 left[0] <= i and right[-1] >= j, so it keeps at least one pair (see
-_fold_role), and so does plan_fold, the better of both branches.  Every
-pair is a bond, so whenever opt >= 1,
+_fold_role), and so does choose_fold_point, which takes the best of both
+branches.  Every pair is a bond, so whenever opt >= 1,
 
     opt / achieved <= P / max(1, floor(ceil(P/2) / 2)),
 
@@ -32,21 +32,23 @@ ceil(opt / 6) over every G/C chain of 6-14 bases, and a CI step over
 every one of 16 bases; they pin the worst ratio found at each even
 length: 2, 3, 4, 5, 5 and 4.
 
-Planning (plan_fold) and building (build_folding) are separate steps, so a
-caller can report the plan that was actually built.  The best edge of each
-side-role assignment is found in closed form by a binary search over the
-position lists: at most (L // 2).bit_length() comparisons, which
-_fold_role returns and test_approx_linear_operation_growth in
-tests/test_approx.py counts.  Relabelling, listing the matched pairs and
-the construction, which places each node once, are the linear part.  A
-random 8000-base G/C chain folds in 0.024-0.038 s and plans in 2.0-2.7 ms
-(approx_fold and plan_fold, median of 5 calls on each of 5 chains,
-Python 3.11 on a shared 2-vCPU Xeon).
+Planning (choose_fold_point) and building (build_folding) are separate
+steps, so a caller can report the plan that was actually built.  The best
+edge of each side-role assignment is found in closed form by a binary
+search over the position lists: at most (L // 2).bit_length()
+comparisons, which _fold_role returns and
+test_approx_linear_operation_growth in tests/test_approx.py counts.
+Relabelling, listing the matched pairs and the construction, which places
+each node once, are the linear part.  A random 8000-base G/C chain folds
+in 0.020-0.034 s and plans in 0.7-1.1 ms (approx_fold and
+choose_fold_point, median of 5 calls on each of 5 chains, four runs,
+Python 3.11 on a shared 2-vCPU Xeon whose speed drifts).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .bounds import parity_census
 from .model import Chain, Folding, score, validate_folding
@@ -144,50 +146,38 @@ def _fold_role(
     return pairs, -abs(2 * f - length), f, probes
 
 
-def choose_fold_point(relabeled: RelabeledChain) -> FoldPlan:
-    """The fold edge and side-role assignment with the most pairs.
+def choose_fold_point(preferred: RelabeledChain) -> FoldPlan:
+    """The plan approx_fold builds from relabel(chain): the fold edge, relabel
+    branch and side role with the most pairs.
 
-    Ties prefer the fold edge closest to the middle of the chain, then
-    odd-1 on the left arm, then the smaller edge.  Each role's best edge comes
-    from a binary search over its position lists (_fold_role), no sweep
-    over the edges; the keys (pairs, -|2f-L|, role preference) of the two
-    roles never tie, so the better of the two per-role bests is the best
-    overall.  The matched pairs are the winning role's first `pairs`
-    outside-in pairs, built for the winning edge only.
+    The four candidates are both branches, each with either class on the
+    left arm; each one's best edge comes from a binary search over its
+    position lists (_fold_role), no sweep over the edges.  One max over the
+    keys (pairs, branch is preferred.branch, -|2f-L|, odd-1 on the left)
+    picks the plan, and the keys never tie: the other branch wins only with
+    strictly more pairs, and within a branch ties prefer the edge closest to
+    the middle of the chain, then odd-1 on the left arm.  Trying the other
+    branch guarantees a bond whenever any folding of the chain has one,
+    which the census-preferred branch alone does not: its only pairing can
+    be a chain-adjacent, unbondable pair.  The matched pairs are the
+    winner's first `pairs` outside-in pairs, built for it only.
     """
-    length = len(relabeled.chain)
-    odd1 = relabeled.odd_one_positions
-    even1 = relabeled.even_one_positions
+    chain = preferred.chain
+    other = BRANCH_EVENG_ODDC if preferred.branch == BRANCH_ODDG_EVENC else BRANCH_ODDG_EVENC
+    candidates = []  # (key, fold edge, left nodes, right nodes, branch)
+    for relabeled in (preferred, _relabel_as(chain, other)):
+        odd1, even1 = relabeled.odd_one_positions, relabeled.even_one_positions
+        for left, right, odd_left in ((odd1, even1, True), (even1, odd1, False)):
+            pairs, centre, f, _ = _fold_role(left, right, len(chain))
+            key = (pairs, relabeled is preferred, centre, odd_left)
+            candidates.append((key, f, left, right, relabeled.branch))
 
-    best = None  # (key, fold edge, left nodes, right nodes)
-    for left, right, pref in ((odd1, even1, 1), (even1, odd1, 0)):
-        pairs, centre, f, _ = _fold_role(left, right, length)
-        key = (pairs, centre, pref)
-        if best is None or key > best[0]:
-            best = (key, f, left, right)
-
-    (pairs, _, _), fold_index, left, right = best
+    (pairs, *_), fold_index, left, right, branch = max(candidates, key=itemgetter(0))
     return FoldPlan(
         fold_index=fold_index,
         matched_pairs=tuple((left[t], right[-1 - t]) for t in range(pairs)),
-        branch=relabeled.branch,
+        branch=branch,
     )
-
-
-def plan_fold(preferred: RelabeledChain) -> FoldPlan:
-    """The plan approx_fold builds from relabel(chain): of the two relabel
-    branches, the one with more pairs wins (the census-preferred on ties).
-
-    This costs nothing asymptotically and guarantees a bond whenever any
-    folding of the chain has one, which the single census-chosen branch
-    does not: its only pairing can be a chain-adjacent, unbondable pair.
-    """
-    other = BRANCH_EVENG_ODDC if preferred.branch == BRANCH_ODDG_EVENC else BRANCH_ODDG_EVENC
-    plan = choose_fold_point(preferred)
-    alt = choose_fold_point(_relabel_as(preferred.chain, other))
-    if len(alt.matched_pairs) > len(plan.matched_pairs):
-        return alt
-    return plan
 
 
 def _loop_cells_top(col: int, count: int) -> list[tuple[int, int]]:
@@ -209,7 +199,7 @@ def approx_fold(chain: Chain) -> tuple[Folding, int]:
     score).  The score is at least the number of matched pairs, which is at
     least floor(min(#odd-1, #even-1) / 2).
     """
-    return build_folding(chain, plan_fold(relabel(chain)))
+    return build_folding(chain, choose_fold_point(relabel(chain)))
 
 
 def build_folding(chain: Chain, plan: FoldPlan) -> tuple[Folding, int]:

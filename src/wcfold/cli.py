@@ -255,7 +255,7 @@ def _cmd_approx(args) -> tuple[ResultDocument | None, int]:
     _require_at_least("--max-length", max_length, 1)
     chain = _read_sequence(args.sequence)
     relabeled = approx_mod.relabel(chain)
-    plan = approx_mod.plan_fold(relabeled)
+    plan = approx_mod.choose_fold_point(relabeled)
     folding, achieved = approx_mod.build_folding(chain, plan)
     doc = ResultDocument(command="approx")
     doc.inputs["sequence"] = chain.seq

@@ -207,11 +207,9 @@ class ReductionInstance:
     tail_length: int
     layout: SatLayout
     zip_pairs: tuple[tuple[int, int], ...]       # molecule index pairs
-    outbound_length: int
-    returning_length: int
 
     def _trace(self, assignment: dict[str, bool]) -> _Tracer:
-        """The assignment's trace, its variables and strand lengths checked."""
+        """The assignment's trace, its variables checked."""
         missing = [v for v in self.layout.variables if v not in assignment]
         if missing:
             raise LayoutError(f"assignment missing variables {missing}")
@@ -220,11 +218,6 @@ class ReductionInstance:
             raise LayoutError(f"assignment names unknown variables {unknown}")
         tracer = _Tracer(self.layout, {v: bool(assignment[v]) for v in self.layout.variables})
         tracer.run()
-        if len(tracer.a) != self.outbound_length or len(tracer.b) != self.returning_length:
-            raise LayoutError(
-                "assignment trace does not conserve strand lengths; "
-                "variable turn pairs are inconsistent"
-            )
         return tracer
 
     def _checked_route(self, tracer: _Tracer) -> tuple[Point, ...]:
@@ -332,8 +325,6 @@ def assemble(layout: SatLayout) -> ReductionInstance:
         tail_length=tail_length,
         layout=layout,
         zip_pairs=zip_pairs,
-        outbound_length=a_len,
-        returning_length=b_len,
     )
     bonds = _score_trace(instance, tracer)[0]
     if bonds < k:

@@ -17,7 +17,6 @@ from wcfold.approx import (
     build_folding,
     choose_fold_point,
     pair_floor_guarantee,
-    plan_fold,
     relabel,
 )
 from wcfold.bounds import parity_bound
@@ -103,13 +102,19 @@ def _reference_fold_point(relabeled):
 
 
 def _assert_sweep_matches_reference(seq):
-    """Check both branches against the quadratic sweep; return how many of
-    their role searches met a one-edge interval (the innermost pair
-    dropped) and how many had M = 0, with M counted by a linear scan."""
+    """Check the plan from either branch as the preferred one against the
+    quadratic sweep of both branches, the other winning only with strictly
+    more pairs; return how many of their role searches met a one-edge
+    interval (the innermost pair dropped) and how many had M = 0, with M
+    counted by a linear scan."""
     drops = empty = 0
-    for branch in (BRANCH_ODDG_EVENC, BRANCH_EVENG_ODDC):
+    branches = (BRANCH_ODDG_EVENC, BRANCH_EVENG_ODDC)
+    sweeps = {b: _reference_fold_point(_relabel_as(Chain(seq), b)) for b in branches}
+    for branch, other in zip(branches, reversed(branches)):
         relabeled = _relabel_as(Chain(seq), branch)
-        assert choose_fold_point(relabeled) == _reference_fold_point(relabeled), (seq, branch)
+        own, alt = sweeps[branch], sweeps[other]
+        expected = alt if len(alt.matched_pairs) > len(own.matched_pairs) else own
+        assert choose_fold_point(relabeled) == expected, (seq, branch)
         odd1, even1 = relabeled.odd_one_positions, relabeled.even_one_positions
         for left, right in ((odd1, even1), (even1, odd1)):
             m = sum(map(operator.lt, left, reversed(right)))
@@ -148,15 +153,15 @@ def test_fold_point_matches_quadratic_sweep_random(seq):
     _assert_sweep_matches_reference(seq)
 
 
-def test_plan_fold_is_what_approx_fold_builds():
+def test_fold_point_is_what_approx_fold_builds():
     for seq in ["CCGG", "GGGGCCCC", "GCGCGCGCGC", "CCCGGG"]:
         chain = Chain(seq)
-        plan = plan_fold(relabel(chain))
+        plan = choose_fold_point(relabel(chain))
         built, achieved = build_folding(chain, plan)
         assert (built, achieved) == approx_fold(chain)
         assert achieved >= len(plan.matched_pairs)
     # CCGG: the census prefers oddG/evenC, whose only pair is chain-adjacent
-    plan = plan_fold(relabel(Chain("CCGG")))
+    plan = choose_fold_point(relabel(Chain("CCGG")))
     assert relabel(Chain("CCGG")).branch == BRANCH_ODDG_EVENC
     assert plan.branch == BRANCH_EVENG_ODDC
     assert plan.matched_pairs == ((1, 4),)
@@ -223,7 +228,7 @@ def test_approx_valid_on_random_chains(seq):
 
 
 def _fold_probes(seq):
-    """The comparisons of the four role searches that plan_fold makes."""
+    """The comparisons of the four role searches that choose_fold_point makes."""
     probes = 0
     for branch in (BRANCH_ODDG_EVENC, BRANCH_EVENG_ODDC):
         rl = _relabel_as(Chain(seq), branch)

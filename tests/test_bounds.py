@@ -29,6 +29,8 @@ def test_bbox_bound_odd_is_extension():
     assert bbox_bound_is_extension(7)
     assert not bbox_bound_is_extension(8)
     assert bounding_box_bound(1) == 0
+    with pytest.raises(ValueError, match="length must be positive"):
+        bounding_box_bound(0)
 
 
 def test_parity_census_block():

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from wcfold import approx, reduction
-from wcfold.approx import BRANCH_EVENG_ODDC, build_folding, plan_fold, relabel
+from wcfold.approx import BRANCH_EVENG_ODDC, build_folding, choose_fold_point, relabel
 from wcfold.cli import main
 from wcfold.docio import write_folding_file
 from wcfold.model import Chain
@@ -177,12 +177,12 @@ def test_approx_reports_the_plan_it_built(capsys):
     assert outputs["achieved"] == "1"
     seqs = ["".join(c) for n in range(2, 11) for c in itertools.product("GC", repeat=n)]
     other_branch = [s for s in seqs
-                    if plan_fold(relabel(Chain(s))).branch != relabel(Chain(s)).branch]
+                    if choose_fold_point(relabel(Chain(s))).branch != relabel(Chain(s)).branch]
     assert "CCGG" in other_branch and "GGCC" not in other_branch
     for seq in other_branch + ["GGGGCCCC", "GCGCGCGCGC"]:
         chain = Chain(seq)
         outputs = _approx_outputs(capsys, seq)
-        plan = plan_fold(relabel(chain))
+        plan = choose_fold_point(relabel(chain))
         folding, achieved = build_folding(chain, plan)
         assert int(outputs["matched_pairs"]) <= int(outputs["achieved"]), seq
         assert (outputs["branch"], int(outputs["fold_index"]), int(outputs["matched_pairs"])) \
@@ -303,6 +303,14 @@ def test_reduce_and_verify(capsys, tmp_path):
     assert code == 3
     assert "output.meets_k: false" in out
     assert VERIFICATION_FAILED_ERR.fullmatch(err)
+
+    # A layout with no variables needs no --assign.
+    zipper = tmp_path / "straight_zipper.layout"
+    zipper.write_text(bundled_layout_text("straight_zipper"))
+    code, out, _ = run_cli(capsys, "verify", str(zipper))
+    assert code == 0
+    assert "input.assignment: empty\n" in out
+    assert "output.meets_k: true\n" in out
 
 
 def test_reduce_dotted_out_prefix_names_every_file_after_it(capsys, tmp_path):
@@ -425,9 +433,14 @@ def test_verify_gadget_not_straight_exit_code(capsys, monkeypatch):
      "--max-length must be at least 1, got 0"),
     (("render", "GGGGCCCC", "f4.fold", "--format", "structured"),
      "render --format structured needs --out"),
+    (("gen", "sn", "0"), "n must be at least 1"),
+    (("gen", "mixed", "0", "0"), "m + n must be at least 2"),
+    (("gen", "sn", "1", "--emit-folding", "f.fold"), "n must be at least 2"),
+    (("verify", "single_clause.layout"), "assignment missing variables ['x']"),
 ], ids=["assign-value", "gen-mixed-one-number", "gen-mixed-negative", "verify-nothing",
         "solve-max-length-negative", "solve-max-length-zero", "approx-max-length-no-exact",
-        "approx-max-length-zero", "render-structured-no-out"])
+        "approx-max-length-zero", "render-structured-no-out", "gen-sn-zero",
+        "gen-mixed-empty", "gen-sn-one-folding", "verify-no-assign"])
 def test_usage_error_paths(capsys, monkeypatch, tmp_path, argv, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "single_clause.layout").write_text(bundled_layout_text("single_clause"))

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,11 +210,9 @@ class TestSingleClauseFixture:
         assert instance.tail_length >= (n / 2) ** 2
 
     def test_strand_side_purity(self, instance):
-        seq = instance.chain.seq
-        start = instance.tail_length
-        end = start + instance.outbound_length
-        assert set(seq[start:end]) <= {"C", "A"}
-        assert set(seq[end : end + instance.returning_length]) <= {"G", "U"}
+        # Between the tails: one C/A run (outbound), then one G/U run (returning).
+        tail = instance.tail_length
+        assert re.fullmatch("[CA]+[GU]+", instance.chain.seq[tail:-tail])
 
     def test_intended_bonds_are_real_contacts(self, instance):
         folding = instance.intended_folding({"x": True})
@@ -257,14 +256,16 @@ def test_generated_block_layouts(text):
     layout = parse_layout(text)
     inst = assemble(layout)
     assert inst.bondable == 2 * len(inst.zip_pairs) + 2 * inst.t
-    start = inst.tail_length
-    outbound = inst.chain.seq[start:start + inst.outbound_length]
+    tail = inst.tail_length
+    core = inst.chain.seq[tail:-tail]
+    outbound = re.match("[CA]+", core).group()
     u = next(e for e in layout.elements if isinstance(e, Turn))
     r = next(e.periods for e in layout.elements if isinstance(e, Segment) and e.kind == "rigid")
     for value in (True, False):
         tracer = _Tracer(layout, {"x": value})
         tracer.run()
-        assert (len(tracer.a), len(tracer.b)) == (inst.outbound_length, inst.returning_length)
+        # Both traces keep the molecule's strand lengths.
+        assert (len(tracer.a), len(tracer.b)) == (len(outbound), len(core) - len(outbound))
         # The outbound strand is the same under every assignment; spacers
         # get their bases only when the molecule is built.
         assert all(traced in (None, base) for (_, traced), base in zip(tracer.a, outbound))

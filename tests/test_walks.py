@@ -46,6 +46,8 @@ def orbit_weight(points) -> int:
 
 def test_single_node():
     assert list(enumerate_walk_points(1)) == [((0, 0),)]
+    with pytest.raises(ValueError, match="length must be at least 1"):
+        next(enumerate_walk_points(0))
 
 
 def test_two_nodes_single_walk():

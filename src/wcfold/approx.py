@@ -40,7 +40,7 @@ comparisons, which _fold_role returns and
 test_approx_linear_operation_growth in tests/test_approx.py counts.
 Relabelling, listing the matched pairs and the construction, which places
 each node once, are the linear part.  A random 8000-base G/C chain folds
-in 0.020-0.034 s and plans in 0.7-1.1 ms (approx_fold and
+in 0.013-0.015 s and plans in 0.48-0.50 ms (approx_fold and
 choose_fold_point, median of 5 calls on each of 5 chains, four runs,
 Python 3.11 on a shared 2-vCPU Xeon whose speed drifts).
 """
@@ -48,7 +48,8 @@ Python 3.11 on a shared 2-vCPU Xeon whose speed drifts).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import eq, itemgetter
 
 from .bounds import parity_census
 from .model import Chain, Folding, score, validate_folding
@@ -95,9 +96,9 @@ def _relabel_as(chain: Chain, branch: str) -> RelabeledChain:
         chain=chain,
         branch=branch,
         odd_one_positions=tuple(
-            i for i, b in zip(range(1, end, 2), seq[0::2]) if b == odd_base),
+            compress(range(1, end, 2), map(eq, seq[0::2], repeat(odd_base)))),
         even_one_positions=tuple(
-            i for i, b in zip(range(2, end, 2), seq[1::2]) if b == even_base),
+            compress(range(2, end, 2), map(eq, seq[1::2], repeat(even_base)))),
     )
 
 
@@ -212,45 +213,37 @@ def build_folding(chain: Chain, plan: FoldPlan) -> tuple[Folding, int]:
         return folding, score(chain, folding)[0]
 
     k = len(pairs)
-    cells: dict[int, tuple[int, int]] = {}
+    cells: list[tuple[int, int]] = []  # node i's cell at cells[i - 1], filled in chain order
 
     # Top arm: prefix tail west of column 0, pairs at even columns.
     a_first = pairs[0][0]
-    for node in range(1, a_first):
-        cells[node] = (node - a_first, 1)
+    cells += zip(range(1 - a_first, 0), repeat(1))
     for t, (a, _) in enumerate(pairs):
-        cells[a] = (2 * t, 1)
+        cells.append((2 * t, 1))
         if t + 1 < k:
-            gap = pairs[t + 1][0] - a - 1
-            for node, cell in zip(range(a + 1, pairs[t + 1][0]), _loop_cells_top(2 * t, gap)):
-                cells[node] = cell
+            cells += _loop_cells_top(2 * t, pairs[t + 1][0] - a - 1)
 
     # Open-end connector between the innermost pair.
     a_in, b_in = pairs[-1]
     gap = b_in - a_in - 1  # even and >= 2: chain-adjacent pairs were dropped
     half = gap // 2
     col0 = 2 * (k - 1)
-    conn = [(col0 + 1 + j, 1) for j in range(half)]
-    conn.append((col0 + half, 0))
-    conn.extend((col0 + half - 1 - j, 0) for j in range(half - 1))
-    for node, cell in zip(range(a_in + 1, b_in), conn):
-        cells[node] = cell
+    cells += zip(range(col0 + 1, col0 + 1 + half), repeat(1))
+    cells += zip(range(col0 + half, col0, -1), repeat(0))
 
     # Bottom arm: pairs mirror the top columns, suffix tail west of column 0.
     for t in range(k - 1, -1, -1):
         b = pairs[t][1]
-        cells[b] = (2 * t, 0)
+        cells.append((2 * t, 0))
         if t > 0:
             gap = pairs[t - 1][1] - b - 1
             # The top loop turned half a turn about (2t, 1/2): from column 2t
             # to 2t-2 on the bottom row, looping downward.
-            for node, (x, y) in zip(range(b + 1, pairs[t - 1][1]), _loop_cells_top(2 * t, gap)):
-                cells[node] = (4 * t - x, 1 - y)
+            cells += [(4 * t - x, 1 - y) for x, y in _loop_cells_top(2 * t, gap)]
     b_first = pairs[0][1]
-    for node in range(b_first + 1, length + 1):
-        cells[node] = (b_first - node, 0)
+    cells += zip(range(-1, b_first - length - 1, -1), repeat(0))
 
-    folding = validate_folding(chain, [cells[i] for i in range(1, length + 1)])
+    folding = validate_folding(chain, cells)
     achieved = score(chain, folding)[0]
     if achieved < k:
         raise AssertionError("construction must realize every matched pair")

@@ -11,20 +11,23 @@ lists indexed by label, so labels must be non-negative.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from typing import Iterable
 
 
 def maximum_bipartite_matching(edges: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
     """Return a maximum matching as a set of (min, max) index pairs."""
-    adj: dict[int, list[int]] = defaultdict(list)
+    adj: dict[int, list[int]] = {}
     for i, j in edges:
-        if (i + j) % 2 == 0:
+        if not (i ^ j) & 1:
             raise ValueError(f"edge {(i, j)} does not join opposite parities")
         if i < 0 or j < 0:
             raise ValueError(f"edge {(i, j)} has a negative node label")
-        odd, even = (i, j) if i % 2 else (j, i)
-        adj[odd].append(even)
+        if i & 1:
+            adj.setdefault(i, []).append(j)
+        else:
+            adj.setdefault(j, []).append(i)
+    # Edges sorted by (min, max), as contact_graph gives them, already
+    # leave every list sorted, and sorting a sorted list is one pass.
     for nbrs in adj.values():
         nbrs.sort()
     size = max(max(adj, default=0), max((nbrs[-1] for nbrs in adj.values()), default=0)) + 1

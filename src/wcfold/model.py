@@ -23,6 +23,18 @@ BASES = frozenset("AUGCX")
 _BASE_BYTES = "".join(BASES).encode("ascii")
 COMPLEMENT = {"G": "C", "C": "G", "A": "U", "U": "A"}  # X is absent on purpose
 
+
+def _mask(base: str) -> bytes:
+    """A bytes.translate table that maps base to 1 and every other byte to 0."""
+    table = bytearray(256)
+    table[ord(base)] = 1
+    return bytes(table)
+
+
+# Each bond's two bases, as masks: the side that looks around, then the
+# side that it finds.
+_BOND_SIDES = tuple((_mask(base), _mask(COMPLEMENT[base])) for base in "GA")
+
 Point = tuple[int, int]
 ContactEdge = tuple[int, int]
 
@@ -192,20 +204,28 @@ def contact_graph(chain: Chain, folding: Folding) -> list[ContactEdge]:
     """Edges (i, j), i < j, between complementary, lattice-adjacent,
     non-consecutive nodes, sorted by (i, j).
 
-    Nodes whose base has no complement (X) are never indexed or visited;
-    the only pass over them is the C-level filter that leaves them out.
+    Every contact joins a G or A node to its complement, C or U, so the
+    lookup runs from one side only: the points of the C nodes and of the U
+    nodes are indexed, and each G and A node looks up its four neighbours
+    in its complement's index, which finds each contact once.  The nodes
+    of a base are picked out in C, by a byte mask; X nodes are never
+    indexed or visited.
     """
-    seq = chain.seq
-    keep = list(map(COMPLEMENT.__contains__, seq))
-    index_of = dict(zip(compress(folding.points, keep), compress(range(1, len(seq) + 1), keep)))
+    raw = chain.seq.encode("ascii")
+    points = folding.points
+    nodes = range(1, len(raw) + 1)
     edges: list[ContactEdge] = []
-    for (x, y), i in index_of.items():
-        want = COMPLEMENT[seq[i - 1]]
-        # Checking only the +x and +y neighbours visits each adjacency once.
-        for nb in ((x + 1, y), (x, y + 1)):
-            j = index_of.get(nb)
-            if j is not None and abs(i - j) >= 2 and seq[j - 1] == want:
-                edges.append((i, j) if i < j else (j, i))
+    for base_mask, want_mask in _BOND_SIDES:
+        keep = raw.translate(want_mask)
+        partner_at = dict(zip(compress(points, keep), compress(nodes, keep)))
+        if not partner_at:
+            continue
+        get = partner_at.get
+        keep = raw.translate(base_mask)
+        for i, (x, y) in zip(compress(nodes, keep), compress(points, keep)):
+            for j in (get((x + 1, y)), get((x - 1, y)), get((x, y + 1)), get((x, y - 1))):
+                if j and i - j not in (1, -1):  # chain neighbours cannot bond
+                    edges.append((i, j) if i < j else (j, i))
     edges.sort()
     return edges
 

@@ -283,9 +283,11 @@ def assemble(layout: SatLayout) -> ReductionInstance:
     """Compile the layout into a ReductionInstance.
 
     Raises LayoutError for invalid layouts, including a route that crosses
-    itself for the building assignment, and AssertionError when the
-    building assignment's intended folding falls short of k.  The route
-    check is the only check of the folding's geometry.
+    itself for the building assignment.  k is certified without scoring:
+    every zip pair must be a contact of the building route, which gives
+    that route a matching of k bonds, and AssertionError names the first
+    pair that is not.  The route check is the only check of the folding's
+    geometry.
     """
     directions = {v: True for v in layout.variables}
     tracer = _Tracer(layout, directions)
@@ -326,24 +328,36 @@ def assemble(layout: SatLayout) -> ReductionInstance:
         layout=layout,
         zip_pairs=zip_pairs,
     )
-    bonds = _score_trace(instance, tracer)[0]
-    if bonds < k:
-        raise AssertionError(
-            f"intended folding scores {bonds}, below the target k = {k}"
-        )
+    _certify_k(instance, tracer)
     return instance
 
 
-def verify_instance(instance: ReductionInstance, assignment: dict[str, bool]) -> tuple[int, bool]:
-    """Recount the bonds of the assignment's intended folding against k."""
-    return _score_trace(instance, instance._trace(assignment))
-
-
-def _score_trace(instance: ReductionInstance, tracer: _Tracer) -> tuple[int, bool]:
-    """Check a trace's route and count its bonds against k.  Only the route
-    is scored: X bonds with nothing, and the route's slice of the chain
-    keeps chain adjacency, so the count is the molecule's."""
+def _certify_k(instance: ReductionInstance, tracer: _Tracer) -> None:
+    """Check the building trace's route, and that its k zip pairs are a
+    matching of contacts of that route: each pair has lattice-adjacent
+    cells and complementary bases and is not chain neighbours, and no two
+    pairs share a node.  The route then scores at least k, and no matching
+    is run.  Raises AssertionError naming the first pair that is no
+    contact."""
     route = instance._checked_route(tracer)
+    seq, start, k = instance.chain.seq, instance.tail_length, instance.k
+    for i, j in instance.zip_pairs:
+        (xi, yi), (xj, yj) = route[i - start - 1], route[j - start - 1]
+        adjacent = abs(xi - xj) + abs(yi - yj) == 1
+        if not adjacent or COMPLEMENT.get(seq[i - 1]) != seq[j - 1] or j - i < 2:
+            raise AssertionError(
+                f"zip pair {(i, j)} is not a contact of the building route, "
+                f"so k = {k} is not certified"
+            )
+    if len(set(_chain.from_iterable(instance.zip_pairs))) != 2 * k:
+        raise AssertionError(f"zip pairs share a node, so k = {k} is not certified")
+
+
+def verify_instance(instance: ReductionInstance, assignment: dict[str, bool]) -> tuple[int, bool]:
+    """Trace and check the assignment's route and count its bonds against k.
+    Only the route is scored: X bonds with nothing, and the route's slice
+    of the chain keeps chain adjacency, so the count is the molecule's."""
+    route = instance._checked_route(instance._trace(assignment))
     start = instance.tail_length
     bonds = score(Chain(instance.chain.seq[start:start + len(route)]), Folding(route))[0]
     return bonds, bonds >= instance.k

@@ -75,7 +75,10 @@ _PREFIX_NODES = 6
 # Count mode's probe searches a partitioned chain's first _PROBE_SUBTREES
 # subtrees.  k = 1-6 count the solve corpus's count chains in 1,488,391 /
 # 1,365,438 / 1,337,459 / 1,346,976 / 1,323,529 / 1,332,515 nodes; k = 5
-# is fewest, but its pool makespan is unmeasured.
+# is fewest, but the probe runs before the pool starts, and the pool's
+# makespan does not fall: perfbench solve_pool wall_s reads 0.535 s
+# (quartiles 0.523-0.538) at k = 3 and 0.538 s (0.534-0.548) at k = 5,
+# 6 alternating pairs of 10 s runs on a shared 2-vCPU Xeon, 2 workers.
 _PROBE_SUBTREES = 3
 
 # Base codes; X, which never bonds, also stands for no node.

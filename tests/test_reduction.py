@@ -644,8 +644,8 @@ assemble_module = importlib.import_module("wcfold.reduction.assemble")
 
 def _unchecked_instance(monkeypatch, text):
     """The instance of a layout whose building route assemble rejects,
-    compiled without tracing that route."""
-    monkeypatch.setattr(assemble_module, "_score_trace", lambda inst, tracer: (inst.k, True))
+    compiled without checking that route or certifying k on it."""
+    monkeypatch.setattr(assemble_module, "_certify_k", lambda inst, tracer: None)
     inst = _assemble_text(text)
     monkeypatch.undo()
     return inst
@@ -682,6 +682,80 @@ def test_tail_hit_route_rejected(monkeypatch):
     assert validate_folding(Chain("X" * len(walk)), walk)
     assert set(route) & set(lead) and set(route) & set(end)
     assert assemble_module._hits_tail(route, inst.tail_length)
+
+
+def _break_zip(monkeypatch, n, how):
+    """Make every trace break its zip pair n after it runs: swap the
+    returning base (G <-> U, complementary to neither C nor A), pair the
+    outbound cell with the next returning cell, which lies diagonal to it,
+    or repeat the pair before it."""
+    run = _Tracer.run
+
+    def broken_run(self):
+        run(self)
+        ai, bi = self.zips[n]
+        if how == "base":
+            cell, base = self.b[bi]
+            self.b[bi] = (cell, {"G": "U", "U": "G"}[base])
+        elif how == "cell":
+            self.zips[n] = (ai, bi + 1)
+        else:  # the pair before it, a contact, twice
+            self.zips[n] = self.zips[n - 1]
+
+    monkeypatch.setattr(_Tracer, "run", broken_run)
+
+
+@pytest.mark.parametrize("how", ["base", "cell"])
+@pytest.mark.parametrize("n", [0, 17, -1])
+def test_assemble_names_a_broken_zip_contact(monkeypatch, how, n):
+    """assemble certifies k from the zip pairs, so one pair that is no
+    contact of the building route is an AssertionError naming that pair."""
+    text = bundled_layout_text("single_clause")
+    i, j = _assemble_text(text).zip_pairs[n]
+    if how == "cell":
+        j -= 1  # the next returning record sits one molecule index lower
+    _break_zip(monkeypatch, n, how)
+    with pytest.raises(AssertionError) as caught:
+        _assemble_text(text)
+    assert str(caught.value) == (
+        f"zip pair {(i, j)} is not a contact of the building route, so k = 105 is not certified")
+
+
+def test_assemble_rejects_zip_pairs_that_share_a_node(monkeypatch):
+    """Contacts that share a node are no matching, so they certify no k."""
+    _break_zip(monkeypatch, 17, "twice")
+    with pytest.raises(AssertionError) as caught:
+        _assemble_text(bundled_layout_text("single_clause"))
+    assert str(caught.value) == "zip pairs share a node, so k = 105 is not certified"
+
+
+def test_assemble_rejects_chain_neighbours_as_a_zip(monkeypatch):
+    """The turnaround's two spacers are lattice-adjacent chain neighbours;
+    given complementary bases and made the last zip pair, they are still no
+    contact."""
+    text = bundled_layout_text("single_clause")
+    inst = _assemble_text(text)
+    tracer = _Tracer(inst.layout, inst.build_assignment)
+    tracer.run()
+    tip = inst.tail_length + len(tracer.a)  # the outbound spacer's molecule index
+    run, choose = _Tracer.run, assemble_module._choose_filler_bases
+
+    def tip_zip_run(self):
+        run(self)
+        self.zips[-1] = (len(self.a) - 1, len(self.b) - 1)
+
+    def complementary_tips(tracer):
+        bases = choose(tracer)
+        bases[tracer.b[-1][0]] = COMPLEMENT[bases[tracer.a[-1][0]]]
+        return bases
+
+    monkeypatch.setattr(_Tracer, "run", tip_zip_run)
+    monkeypatch.setattr(assemble_module, "_choose_filler_bases", complementary_tips)
+    with pytest.raises(AssertionError) as caught:
+        _assemble_text(text)
+    assert str(caught.value) == (
+        f"zip pair {(tip, tip + 1)} is not a contact of the building route, "
+        "so k = 105 is not certified")
 
 
 # A fixed left turn before the block: with x false the route bends back

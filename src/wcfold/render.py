@@ -10,8 +10,6 @@ dotted links ('··' horizontal, ':' vertical) against solid chain links
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 from .model import BondSet, Chain, Folding, score
 
 ASCII_GLYPHS = {"G": "G", "C": "C", "A": "A", "U": "U", "X": "x"}
@@ -90,6 +88,7 @@ def _svg_glyph(base: str, cx: float, cy: float, r: int) -> str:
     )
 
 
+# Written into the SVG as they are: no label holds &, < or >.
 _LEGEND = (
     ("G", "G (filled)"),
     ("C", "C (open)"),
@@ -143,7 +142,7 @@ def render_svg(chain: Chain, folding: Folding, bonds: BondSet) -> str:
     for idx, (base, label) in enumerate(_LEGEND):
         y = legend_y + 24 * idx
         parts.append(_svg_glyph(base, 20, y, 8))
-        parts.append(f'<text x="36" y="{y + 4}">{escape(label)}</text>')
+        parts.append(f'<text x="36" y="{y + 4}">{label}</text>')
     parts.append("</g>")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

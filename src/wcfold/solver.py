@@ -16,16 +16,20 @@ bonds: the bound never underestimates.  X nodes never bond and are not
 counted.
 
 Most prunes are decided before the placement, by reading the grid only,
-and look up to two nodes ahead.  Take slack = matching_so_far + (unplaced
-bondable nodes) - best, the unplaced nodes counted after the new node i.
-When slack < 0, every bondable node still to come must grow the matching
-as it is placed.  So a cell whose neighbours hold no bond partner of i is
-pruned unplaced: there i cannot grow the matching, so the bound after
-placing it would fall short too.  And when the next node j = i + 1 can
-bond, a cell is pruned unplaced if no free cell beside it has a partner
-of j beside it, provided slack < 0, or slack == 0 and i has no partner
-beside the cell: then the call that places j is short in turn, and it
-would prune every cell it tries.
+and look up to three nodes ahead.  Take slack = matching_so_far +
+(unplaced bondable nodes) - best, the unplaced nodes counted after the new
+node i.  When slack < 0, every bondable node still to come must grow the
+matching as it is placed.  So a cell whose neighbours hold no bond partner
+of i is pruned unplaced: there i cannot grow the matching, so the bound
+after placing it would fall short too.  And when the next node j = i + 1
+can bond, a cell is pruned unplaced if no free cell beside it has a
+partner of j beside it, provided slack < 0, or slack == 0 and i has no
+partner beside the cell: then the call that places j is short in turn,
+and it would prune every cell it tries.  Under the same proviso, when
+node k = i + 2 can bond too, the cell is also pruned unless one of those
+free cells that holds j has a free cell beside it with a partner of k
+beside it: the calls that place j and then k are both short, so no cell
+for j leads anywhere.
 
 The search tree is partitioned by canonical prefixes at a fixed depth that
 depends only on the chain length, and subtree results merge associatively
@@ -73,11 +77,11 @@ DEFAULT_REPRESENTATIVE_CAP = 16
 _PARTITION_THRESHOLD = 12
 _PREFIX_NODES = 6
 # Count mode's probe searches a partitioned chain's first _PROBE_SUBTREES
-# subtrees.  k = 1-6 count the solve corpus's count chains in 1,488,391 /
-# 1,365,438 / 1,337,459 / 1,346,976 / 1,323,529 / 1,332,515 nodes; k = 5
-# is fewest, but the probe runs before the pool starts, and the pool's
-# makespan does not fall: perfbench solve_pool wall_s reads 0.535 s
-# (quartiles 0.523-0.538) at k = 3 and 0.538 s (0.534-0.548) at k = 5,
+# subtrees.  k = 1-6 count the solve corpus's count chains in 1,007,646 /
+# 902,058 / 870,632 / 877,386 / 857,056 / 863,475 nodes; k = 5 is
+# fewest, but the probe runs before the pool starts, and the pool's
+# makespan does not fall: perfbench solve_pool wall_s reads 0.489 s
+# (quartiles 0.476-0.495) at k = 3 and 0.495 s (0.485-0.500) at k = 5,
 # 6 alternating pairs of 10 s runs on a shared 2-vCPU Xeon, 2 workers.
 _PROBE_SUBTREES = 3
 
@@ -131,11 +135,15 @@ class SolveReport:
     seed: int | None
 
 
-def _chain_tables(seq: str) -> tuple[tuple[int, ...], tuple[tuple[bool, ...], ...]]:
+def _chain_tables(seq: str) -> tuple:
     """The read-only tables of a chain's search, which exact_solve builds
     once and hands to every subtree search.
 
-    Returns (nbond, bond), indexed by node (index 0 unused).
+    Returns (nbond, bond, width, look).  nbond and bond are indexed by node
+    (index 0 unused).  The search grid is width cells wide, and look maps
+    each step d, as a grid offset, to one entry per cell e ahead of the
+    step's new cell: e, e's three cells ahead, and for each of those cells
+    f, f and its own three cells ahead, all as offsets from the new cell.
     """
     length = len(seq)
     x = _CODE["X"]
@@ -147,7 +155,14 @@ def _chain_tables(seq: str) -> tuple[tuple[int, ...], tuple[tuple[bool, ...], ..
     # bond[i][q]: nodes i and q can bond (complementary, not consecutive on the chain).
     bond = tuple(tuple(_COMP[code[i]][code[q]] and abs(i - q) != 1 for q in range(length + 1))
                  for i in range(length + 1))
-    return tuple(nbond), bond
+    width = 2 * length + 1
+    dirs4 = [dx * width + dy for dx, dy in DIRS]
+    ahead_of = {d: [e for e in dirs4 if e != -d] for d in dirs4}
+    look = {d: tuple((e, *(e + f for f in ahead_of[e]),
+                      tuple((e + f, *(e + f + g for g in ahead_of[f])) for f in ahead_of[e]))
+                     for e in ahead_of[d])
+            for d in dirs4}
+    return tuple(nbond), bond, width, look
 
 
 def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
@@ -182,7 +197,9 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     the nodes in the four cells around it that bond[u] admits (occ is 0 on
     an empty cell, and no row admits 0).  For each free cell, hit reads
     i's three cells ahead once; it decides the prunes below and whether
-    the placed i tries to augment.
+    the placed i tries to augment.  The cells two and three steps ahead
+    that the prunes read come from look, which exact_solve builds once
+    per chain.
 
     Before its step loop, dfs takes slack = mu + nbond[i] - best - tie
     when check holds, for the node i = n + 1 it places; best only rises
@@ -193,16 +210,26 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
       bound would: no edge reaches i there, so the child's mu' = mu, and
       mu' + nbond[i] < best + tie.
     - node j = i + 1 exists and can bond (row_j), slack < 0 or not hit,
-      and no free cell ahead of the cell has a node that j can bond with
-      among its own three cells ahead (ring_of).  Then mu' <= mu + 1,
-      with mu' = mu where i has no partner, and nbond[j] = nbond[i] - 1,
-      so the child's own slack is negative: it prunes every free cell it
-      tries, for its steps are among the free cells ahead, whose cells
-      ahead hold now what they would hold then.  The child would place
-      nothing and reach no leaf, so the cell costs one prune instead of a
-      call and the child's prunes.  Before the walk's first turn the child
-      tries only two of the three cells, and there this test prunes less
-      than it could.
+      and no free cell e ahead of the cell has a node that j can bond with
+      among its own three cells ahead.  Then mu' <= mu + 1, with mu' = mu
+      where i has no partner, and nbond[j] = nbond[i] - 1, so the child's
+      own slack is negative: it prunes every free cell it tries, for its
+      steps are among the free cells ahead, whose cells ahead hold now
+      what they would hold then.  The child would place nothing and reach
+      no leaf, so the cell costs one prune instead of a call and the
+      child's prunes.  Before the walk's first turn the child tries only
+      two of the three cells, and there this test prunes less than it
+      could.
+    - under the same condition, node k = i + 2 also exists and can bond
+      (row_k), and for every e that holds a partner of j, no free cell f
+      ahead of e has a node that k can bond with among f's three cells
+      ahead.  The child's slack is negative as above, and so is the
+      grandchild's, since mu'' <= mu' + 1 and nbond[k] = nbond[j] - 1.
+      So the child prunes every e it tries: by the first rule where j
+      has no partner there, and by the rule above, read for its own next
+      node k, where j has one.  By lattice parity f's cells ahead never
+      include the cell or e, so the grid holds now what the child would
+      read then.
 
     A cell tried is a free cell: it is pruned, before or after its
     placement, or placed and searched by a dfs call.  exact_solve counts
@@ -210,15 +237,10 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     the cells tried below the prefix: dfs calls plus prunes, less
     len(prefix).
     """
-    (nbond, bond), prefix, prune, counting, seed, cap, rep_cap = args
+    (nbond, bond, width, look), prefix, prune, counting, seed, cap, rep_cap = args
     length = len(nbond) - 1
-    width = 2 * length + 1
-    dirs4 = tuple(dx * width + dy for dx, dy in DIRS)
-    ahead_of = {d: tuple(e for e in dirs4 if e != -d) for d in dirs4}
-    # ring_of[d]: for each cell e ahead of a step d, e and the three cells
-    # ahead of it, all as offsets from the new cell.
-    ring_of = {d: tuple((e,) + tuple(e + f for f in ahead_of[e]) for e in ahead_of[d])
-               for d in dirs4}
+    dirs4 = tuple(look)
+    ahead_of = {d: tuple(ring[0] for ring in look[d]) for d in dirs4}
     # Steps after the walk's first turn (steps4) and before it (steps2).
     steps4: list = []
     steps4 += [(d, ahead_of[d], steps4, prune) for d in dirs4]
@@ -228,7 +250,7 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
     # next_row[i]: node i + 1's bond row when that node exists and can bond,
     # that is when nbond drops across it.
     next_row = [bond[i + 1] if i < length and nbond[i] > nbond[i + 1] else None
-                for i in range(length + 1)]
+                for i in range(length + 2)]
 
     occ = [0] * (width * width)
     pos = [0] * (length + 1)
@@ -282,11 +304,12 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
         i = n + 1
         row = bond[i]
         row_j = next_row[i]
+        row_k = next_row[i + 1]
         nb = nbond[i]
         # slack < 0: i must grow the matching where it lands, and so must
-        # node j = i + 1 if it can bond; slack == 0: j must wherever i
-        # cannot.  A cell where either cannot is pruned unplaced (see
-        # _solve_subtree).
+        # nodes j = i + 1 and k = i + 2 if they can bond; slack == 0: j and
+        # k must wherever i cannot.  A cell where one of them cannot is
+        # pruned unplaced (see _solve_subtree).
         slack = mu + nb - best - tie if steps[0][3] else 1
         for d, ahead, child_steps, check in steps:
             cell = base_cell + d
@@ -299,13 +322,23 @@ def _solve_subtree(args) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
                     pruned += 1
                     continue
                 if row_j is not None and (slack or not hit):
-                    (r, r1, r2, r3), (s, s1, s2, s3), (t, t1, t2, t3) = ring_of[d]
-                    if not (not occ[cell + r] and (row_j[occ[cell + r1]] or row_j[occ[cell + r2]]
-                                                   or row_j[occ[cell + r3]])
-                            or not occ[cell + s] and (row_j[occ[cell + s1]] or row_j[occ[cell + s2]]
-                                                      or row_j[occ[cell + s3]])
-                            or not occ[cell + t] and (row_j[occ[cell + t1]] or row_j[occ[cell + t2]]
-                                                      or row_j[occ[cell + t3]])):
+                    # Keep the cell only if some free e ahead has a partner
+                    # of j ahead of it and, when k can bond, some free f
+                    # ahead of that e has a partner of k ahead of it.
+                    for e, e1, e2, e3, fs in look[d]:
+                        if occ[cell + e] or not (row_j[occ[cell + e1]] or row_j[occ[cell + e2]]
+                                                 or row_j[occ[cell + e3]]):
+                            continue
+                        if row_k is None:
+                            break
+                        for f, f1, f2, f3 in fs:
+                            if not occ[cell + f] and (row_k[occ[cell + f1]] or row_k[occ[cell + f2]]
+                                                      or row_k[occ[cell + f3]]):
+                                break
+                        else:
+                            continue
+                        break
+                    else:
                         pruned += 1
                         continue
             occ[cell] = i

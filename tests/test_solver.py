@@ -189,22 +189,22 @@ def test_node_count_is_the_walk_tree_size(length):
 
 
 @pytest.mark.parametrize("seq, count, expected", [
-    ("GGGGGGGCCCCCCC", True, (6, 1, 1711, 1021)),
-    ("GCGGCCGCGGCCGC", True, (6, 1, 1356, 820)),
+    ("GGGGGGGCCCCCCC", True, (6, 1, 1167, 692)),
+    ("GCGGCCGCGGCCGC", True, (6, 1, 997, 600)),
     ("GGCGCCGCGGCGC", False, (5, None, 70, 32)),
-    ("GAUCGGAUCCGAUC", True, (6, 1, 1318, 807)),
-    ("AUGCAUGCAUGCAU", False, (6, None, 66, 28)),
-    ("GGAUXCCAUGXXCG", True, (3, 65, 51637, 31063)),
-    ("UAGCCGAUUAGCGC", False, (3, None, 4183, 2566)),
+    ("GAUCGGAUCCGAUC", True, (6, 1, 1007, 617)),
+    ("AUGCAUGCAUGCAU", False, (6, None, 60, 24)),
+    ("GGAUXCCAUGXXCG", True, (3, 65, 34754, 19954)),
+    ("UAGCCGAUUAGCGC", False, (3, None, 3884, 2415)),
     # The benchmark's heaviest search, where the unplaced prune fires most.
-    ("GGGCGGGCCGCGGCCCGCGG", True, (7, 244, 465919, 281442)),
+    ("GGGCGGGCCGCGGCCCGCGG", True, (7, 244, 296913, 174441)),
     # Skewed: the parity bound 1 ends the search at its first leaf.
     ("GGGGGGGGGGGGGGGC", False, (1, None, 21, 3)),
     # Score-only past the first 3 subtrees, whose best is 4 and 3 against
     # optima 5 and 4: each later subtree starts from the best so far.  The
     # first row stops at its parity bound 5, the second runs to the end.
-    ("GCGGCGCGGGGCGC", False, (5, None, 447, 264)),
-    ("CAUGCCGUUGCGAA", False, (4, None, 2889, 1757)),
+    ("GCGGCGCGGGGCGC", False, (5, None, 310, 177)),
+    ("CAUGCCGUUGCGAA", False, (4, None, 2458, 1504)),
 ])
 def test_search_shape_is_pinned(seq, count, expected):
     # Above the partition threshold: these node and prune counts pin the
@@ -238,11 +238,13 @@ def reference_search(seq, count, cuts=None):
     call that places node i starts, a cell is pruned unplaced when
     slack < 0 and i has no partner beside it, or when node j = i + 1 can
     bond, slack < 0 or slack == 0 with no partner of i beside the cell,
-    and no free cell beside it has a partner of j beside it.  cuts, if
-    given, counts those j prunes by the sign of slack, and under
-    "parity stop" the stops below the bounding-box bound.  Only for 12
-    bases or fewer: then the one subtree hangs below the prefix (0, 0),
-    (1, 0) and starts from nothing.  Returns (optimal_score,
+    and either no free cell e beside it has a partner of j beside it, or
+    node k = i + 2 can bond and no free cell beside any such e has a
+    partner of k beside it.  cuts, if given, counts the j prunes by the
+    sign of slack, under "third node" the cells only k's test prunes,
+    and under "parity stop" the stops below the bounding-box bound.  Only
+    for 12 bases or fewer: then the one subtree hangs below the prefix
+    (0, 0), (1, 0) and starts from nothing.  Returns (optimal_score,
     optimal_count, every optimal folding's points, nodes_explored, pruned).
     """
     assert len(seq) <= 12
@@ -289,12 +291,21 @@ def reference_search(seq, count, cuts=None):
             if slack < 0 and not hit:
                 pruned += 1
                 continue
-            if (slack < 0 or slack == 0 and not hit) and i < length and seq[i] != "X" and not any(
-                    partner_beside(i + 1, cell, nxt) for cell in beside(nxt[-1]) if cell not in nxt):
-                pruned += 1
-                if cuts is not None:
-                    cuts[slack < 0] += 1
-                continue
+            if (slack < 0 or slack == 0 and not hit) and i < length and seq[i] != "X":
+                holds_j = [e for e in beside(nxt[-1])
+                           if e not in nxt and partner_beside(i + 1, e, nxt)]
+                if not holds_j:
+                    pruned += 1
+                    if cuts is not None:
+                        cuts[slack < 0] += 1
+                    continue
+                if i + 1 < length and seq[i + 1] != "X" and not any(
+                        partner_beside(i + 2, f, nxt + [e])
+                        for e in holds_j for f in beside(e) if f not in nxt + [e]):
+                    pruned += 1
+                    if cuts is not None:
+                        cuts["third node"] += 1
+                    continue
             bonds = matched(nxt)
             unplaced = len(seq[len(nxt):].replace("X", ""))
             if bonds + unplaced < best + tie:
@@ -333,9 +344,9 @@ def test_search_matches_a_from_scratch_reference(count):
                tuple(rep.points for rep in report.representatives),
                report.nodes_explored, report.pruned)
         assert got == reference_search(seq, count, cuts), seq
-    # Both j prunes, slack < 0 and slack == 0, are exercised, and so is
-    # the parity stop in score-only mode.
-    assert cuts[True] and cuts[False], cuts
+    # Both j prunes, slack < 0 and slack == 0, and the third node's are
+    # exercised, and so is the parity stop in score-only mode.
+    assert cuts[True] and cuts[False] and cuts["third node"], cuts
     assert bool(cuts["parity stop"]) == (not count), cuts
 
 

@@ -49,8 +49,11 @@ in order and in the calling process, each from the best score so far.  A
 score-only search is that pass over every subtree.  In count mode, with
 pruning on, a partitioned chain's pass is a probe cut after its first
 _PROBE_SUBTREES subtrees, whose best, which may fall short of the optimum,
-seeds the counting of every subtree, in a pool when there are workers.
-Reports thus stay identical for any worker count.
+seeds the counting of every subtree.  With workers > 1 the calling
+process and workers - 1 children forked from it count the subtrees,
+each taking the next subtree index from one shared pipe, and the results
+merge in subtree order; where os.fork does not exist, the calling process
+counts them all.  Reports thus stay identical for any worker count.
 
 A pruned score-only pass stops once its best reaches the cap, the
 smaller of the bounding-box bound and the parity bound (wcfold.bounds),
@@ -63,7 +66,9 @@ unplaced G nodes leave slack to the end of every walk.
 
 from __future__ import annotations
 
-import concurrent.futures
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 from .bounds import bounding_box_bound, parity_bound
@@ -79,10 +84,11 @@ _PREFIX_NODES = 6
 # Count mode's probe searches a partitioned chain's first _PROBE_SUBTREES
 # subtrees.  k = 1-6 count the solve corpus's count chains in 1,007,646 /
 # 902,058 / 870,632 / 877,386 / 857,056 / 863,475 nodes; k = 5 is
-# fewest, but the probe runs before the pool starts, and the pool's
-# makespan does not fall: perfbench solve_pool wall_s reads 0.489 s
-# (quartiles 0.476-0.495) at k = 3 and 0.495 s (0.485-0.500) at k = 5,
-# 6 alternating pairs of 10 s runs on a shared 2-vCPU Xeon, 2 workers.
+# fewest, but the probe runs serially before any child is forked, and
+# the counting's makespan does not fall: perfbench solve_pool wall_s
+# reads 0.393 s (quartiles 0.388-0.395) at k = 3 and 0.405 s
+# (0.399-0.410) at k = 5, k = 3 faster in 7 of 8 alternating pairs of
+# 10 s runs on a shared 2-vCPU Xeon, 2 workers.
 _PROBE_SUBTREES = 3
 
 # Base codes; X, which never bonds, also stands for no node.
@@ -402,6 +408,78 @@ def _prefix_tree_size(prefixes: list[tuple[Point, ...]]) -> int:
     return len({pts[:d] for pts in prefixes for d in range(1, len(pts) + 1)})
 
 
+def _take_subtrees(tasks: int, args: list) -> list[tuple[int, tuple]]:
+    """Search the subtrees whose indices this process reads from the task
+    pipe, one byte each, until it is empty; returns (index, result) pairs."""
+    done = []
+    while index := os.read(tasks, 1):
+        done.append((index[0], _solve_subtree(args[index[0]])))
+    return done
+
+
+def _count_forked(args: list, workers: int) -> list:
+    """Count the subtrees in this process and workers - 1 children forked
+    from it, and return the results in subtree order.
+
+    One pipe holds every subtree index, and a process takes the next one
+    whenever it is free, so the work balances as it goes; a child searches
+    on the arguments it inherited, so none are pickled.  Each child sends
+    one pickled (True, [(index, result), ...]) or (False, exception) on a
+    pipe of its own and exits.  Every child is reaped on every path: when
+    this process raises, or re-raises a child's exception, the children
+    still running are killed first, and its own exception wins.
+    """
+    assert len(args) < 256, "a subtree index travels as one byte"
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(len(args))))
+    os.close(feed)
+    children: dict[int, int] = {}
+    try:
+        for _ in range(workers - 1):
+            out, into = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(out)
+                os.close(into)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    try:
+                        sent = True, _take_subtrees(tasks, args)
+                    except BaseException as exc:
+                        sent = False, exc
+                    with open(into, "wb") as f:
+                        f.write(pickle.dumps(sent))
+                    code = 0
+                finally:
+                    os._exit(code)
+            # Closed before the next fork, so only the child holds it and its exit is EOF.
+            os.close(into)
+            children[pid] = out
+        results = dict(_take_subtrees(tasks, args))
+        for pid, out in children.items():
+            with open(out, "rb", closefd=False) as f:
+                data = f.read()
+            if not data:
+                raise ChildProcessError(f"subtree process {pid} exited without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.update(value)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(tasks)
+        for pid, out in children.items():
+            os.close(out)
+            os.waitpid(pid, 0)
+    return [results[k] for k in range(len(args))]
+
+
 def exact_solve(
     chain: Chain,
     *,
@@ -443,11 +521,9 @@ def exact_solve(
     results = passed
     if count:
         args = [(tables, prefix, prune, True, seed, cap, representative_cap) for prefix in prefixes]
-        if workers > 1 and len(args) > 1:
-            # The pool forks every worker it is given; past one per subtree they sit idle.
-            workers = min(workers, len(args))
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_solve_subtree, args))
+        if workers > 1 and len(args) > 1 and hasattr(os, "fork"):
+            # Past one process per subtree the rest would find the task pipe empty.
+            results = _count_forked(args, min(workers, len(args)))
         else:
             results = [_solve_subtree(a) for a in args]
 

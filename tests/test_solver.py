@@ -1,5 +1,5 @@
-import concurrent.futures
 import itertools
+import os
 import random
 from collections import Counter
 
@@ -10,6 +10,7 @@ from wcfold.bounds import bounding_box_bound, gc_block_chain, mixed_block_chain,
 from wcfold.matching import maximum_bipartite_matching
 from wcfold.model import (Chain, Folding, complementary, contact_graph, parse_chain,
                           validate_folding, score)
+from wcfold import solver
 from wcfold.solver import LengthLimitError, exact_solve, optimal_score
 from wcfold.walks import enumerate_walk_points
 
@@ -196,7 +197,8 @@ def test_node_count_is_the_walk_tree_size(length):
     ("AUGCAUGCAUGCAU", False, (6, None, 60, 24)),
     ("GGAUXCCAUGXXCG", True, (3, 65, 34754, 19954)),
     ("UAGCCGAUUAGCGC", False, (3, None, 3884, 2415)),
-    # The benchmark's heaviest search, where the unplaced prune fires most.
+    # The benchmark's heaviest G/C search; only GAGGAACUACGGCUCGUCAG, whose
+    # 359,695 nodes CI pins, searches more.
     ("GGGCGGGCCGCGGCCCGCGG", True, (7, 244, 296913, 174441)),
     # Skewed: the parity bound 1 ends the search at its first leaf.
     ("GGGGGGGGGGGGGGGC", False, (1, None, 21, 3)),
@@ -383,37 +385,56 @@ def test_worker_determinism_without_a_probe(count):
 
 
 def test_pool_has_at_most_one_worker_per_subtree(monkeypatch):
-    # A 13-base chain splits into 36 subtrees; the pool forks every worker
-    # it is asked for, so workers=64 must ask for 36 in count mode.  A
-    # score-only search is one pass in the calling process and asks for
-    # none.  The fake maps in-process.
-    sizes = []
+    # A 13-base chain splits into 36 subtrees, and the calling process
+    # counts too, so workers=64 forks 35 children in count mode and
+    # workers=2 forks one.  A score-only search is one pass in the calling
+    # process and forks none.  The wrapper counts forks and passes them on.
+    forks = []
+    fork = os.fork
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
+    def counting_fork():
+        forks.append(1)
+        return fork()
 
     chain = parse_chain("GGCGCCGCGGCGC")
     expected = exact_solve(chain, workers=1)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "fork", counting_fork)
     assert exact_solve(chain, workers=64) == expected
-    assert sizes == [36]
+    assert len(forks) == 35
+    assert exact_solve(chain, workers=2) == expected
+    assert len(forks) == 36
     # The first 3 subtrees reach 4, and a later one the optimum 5.
     score_only = parse_chain("CCCCGGCCGGGCG")
     expected = exact_solve(score_only, workers=1, count=False)
     assert exact_solve(score_only, workers=64, count=False) == expected
-    assert (expected.optimal_score, sizes) == (5, [36])
-    assert exact_solve(score_only, workers=64).optimal_score == 5
-    assert sizes == [36, 36]
+    assert (expected.optimal_score, len(forks)) == (5, 36)
+    counted = exact_solve(score_only, workers=64)
+    assert counted == exact_solve(score_only, workers=1)
+    assert (counted.optimal_score, len(forks)) == (5, 36 + 35)
+
+
+@pytest.mark.parametrize("in_caller", [False, True])
+def test_a_failing_subtree_search_reaches_the_caller(monkeypatch, in_caller):
+    # Forked children inherit the patched search, which fails in every
+    # counting subtree a child takes, and with in_caller in those the
+    # calling process takes too.  A child's ValueError reaches the caller,
+    # the caller's own wins over its children's, and either way every
+    # child has been reaped by then.
+    chain = parse_chain("GGCGCCGCGGCGC")
+    search = solver._solve_subtree
+    caller = os.getpid()
+
+    def failing_search(args):
+        if args[3] and (in_caller or os.getpid() != caller):
+            raise ValueError(os.getpid())
+        return search(args)
+
+    monkeypatch.setattr(solver, "_solve_subtree", failing_search)
+    with pytest.raises(ValueError) as raised:
+        exact_solve(chain, workers=3)
+    assert (raised.value.args[0] == caller) == in_caller
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_score_only_mode():

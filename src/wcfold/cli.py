@@ -6,9 +6,10 @@ or JSON (--format structured); both are deterministic for fixed inputs and
 flags.  Wall-clock timing goes to stderr.  Exit codes: 0 success, 1 usage
 or parse error, 2 length limit exceeded or a search deeper than the
 interpreter's recursion limit, 3 verification failed, 4 file read/write
-error, 5 internal consistency check failed.  Each failure prints one
-`error:` line on stderr; a failed verification still emits its document
-and its elapsed line first, then `error: verification failed`.
+error, 5 internal consistency check failed, 130 interrupted (SIGINT,
+as from Ctrl-C).  Each failure prints one `error:` line on stderr; a
+failed verification still emits its document and its elapsed line first,
+then `error: verification failed`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ EXIT_LIMIT = 2
 EXIT_VERIFY = 3
 EXIT_IO = 4
 EXIT_INTERNAL = 5
+EXIT_INTERRUPTED = 130
 
 
 class _Parser(argparse.ArgumentParser):
@@ -388,6 +390,9 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"error: internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 def entrypoint() -> None:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from wcfold import approx, reduction
+from wcfold import approx, cli, reduction
 from wcfold.approx import BRANCH_EVENG_ODDC, build_folding, choose_fold_point, relabel
 from wcfold.cli import main
 from wcfold.docio import write_folding_file
@@ -225,6 +225,19 @@ def test_internal_check_exit_code(capsys, monkeypatch):
     assert code == 5
     assert out == ""
     assert err.startswith("error: internal check failed: construction must realize")
+
+
+def test_interrupt_exit_code(capsys, monkeypatch):
+    # SIGINT during a search (as from Ctrl-C) ends with one error line and
+    # exit 130, not a traceback.
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "exact_solve", interrupted)
+    code, out, err = run_cli(capsys, "solve", "GGGGCCCC")
+    assert code == 130
+    assert out == ""
+    assert err == "error: interrupted\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -386,9 +386,10 @@ def test_worker_determinism_without_a_probe(count):
 
 def test_pool_has_at_most_one_worker_per_subtree(monkeypatch):
     # A 13-base chain splits into 36 subtrees, and the calling process
-    # counts too, so workers=64 forks 35 children in count mode and
-    # workers=2 forks one.  A score-only search is one pass in the calling
-    # process and forks none.  The wrapper counts forks and passes them on.
+    # counts too, so workers=64 forks 35 children in count mode, workers=2
+    # forks one and workers=1 none.  A score-only search is one pass in the
+    # calling process and forks none.  The wrapper counts forks and passes
+    # them on.
     forks = []
     fork = os.fork
 
@@ -396,9 +397,10 @@ def test_pool_has_at_most_one_worker_per_subtree(monkeypatch):
         forks.append(1)
         return fork()
 
+    monkeypatch.setattr(os, "fork", counting_fork)
     chain = parse_chain("GGCGCCGCGGCGC")
     expected = exact_solve(chain, workers=1)
-    monkeypatch.setattr(os, "fork", counting_fork)
+    assert len(forks) == 0
     assert exact_solve(chain, workers=64) == expected
     assert len(forks) == 35
     assert exact_solve(chain, workers=2) == expected
@@ -413,24 +415,40 @@ def test_pool_has_at_most_one_worker_per_subtree(monkeypatch):
     assert (counted.optimal_score, len(forks)) == (5, 36 + 35)
 
 
-@pytest.mark.parametrize("in_caller", [False, True])
-def test_a_failing_subtree_search_reaches_the_caller(monkeypatch, in_caller):
+def test_without_fork_the_caller_counts_every_subtree(monkeypatch):
+    # Where os.fork does not exist, any worker count runs the workers=1
+    # counter in the calling process.
+    chain = parse_chain("GGCGCCGCGGCGC")
+    expected = exact_solve(chain, workers=1)
+    monkeypatch.delattr(os, "fork")
+    assert exact_solve(chain, workers=4) == expected
+
+
+@pytest.mark.parametrize("error, in_caller", [
+    (ValueError, False), (ValueError, True), (KeyboardInterrupt, False), (KeyboardInterrupt, True),
+], ids=["False", "True", "KeyboardInterrupt-False", "KeyboardInterrupt-True"])
+def test_a_failing_subtree_search_reaches_the_caller(monkeypatch, error, in_caller):
     # Forked children inherit the patched search, which fails in every
     # counting subtree a child takes, and with in_caller in those the
-    # calling process takes too.  A child's ValueError reaches the caller,
-    # the caller's own wins over its children's, and either way every
-    # child has been reaped by then.
+    # calling process takes too.  A child's error reaches the caller, the
+    # caller's own wins over its children's, and either way every child
+    # has been reaped by then, after an interrupt too.
     chain = parse_chain("GGCGCCGCGGCGC")
-    search = solver._solve_subtree
+    build = solver._subtree_search
     caller = os.getpid()
 
-    def failing_search(args):
-        if args[3] and (in_caller or os.getpid() != caller):
-            raise ValueError(os.getpid())
-        return search(args)
+    def failing_build(*args):
+        search = build(*args)
 
-    monkeypatch.setattr(solver, "_solve_subtree", failing_search)
-    with pytest.raises(ValueError) as raised:
+        def failing_search(prefix, counting, seed):
+            if counting and (in_caller or os.getpid() != caller):
+                raise error(os.getpid())
+            return search(prefix, counting, seed)
+
+        return failing_search
+
+    monkeypatch.setattr(solver, "_subtree_search", failing_build)
+    with pytest.raises(error) as raised:
         exact_solve(chain, workers=3)
     assert (raised.value.args[0] == caller) == in_caller
     with pytest.raises(ChildProcessError):

@@ -23,10 +23,10 @@ The search tree is partitioned by canonical prefixes at a fixed depth that
 depends only on the chain length, and subtree results merge associatively
 in prefix order.  Worker count changes only which process runs a subtree,
 so reports are identical for any worker count.  One placement rule serves
-the whole walk: each step names its child's steps, so the canonical-walk
-rule is data, and a subtree's prefix is a chain of forced steps that skip
-the bound.  Prefix placements are counted once, by exact_solve, not per
-subtree.
+the whole walk: a step leads to the three steps that do not go back, so
+the canonical-walk rule is data, and a subtree's prefix is a chain of
+forced steps that skip the bound.  Prefix placements are counted once, by
+exact_solve, not per subtree.
 
 A subtree search starts its best-so-far from a seed, the score of a real
 folding and so a valid lower bound, or from nothing (-1), in which case
@@ -75,8 +75,8 @@ _PREFIX_NODES = 6
 # 902,058 / 870,632 / 877,386 / 857,056 / 863,475 nodes; k = 5 is
 # fewest, but the probe runs serially before any child is forked, and
 # the counting's makespan does not fall: perfbench solve_pool wall_s
-# reads 0.393 s (quartiles 0.388-0.395) at k = 3 and 0.405 s
-# (0.399-0.410) at k = 5, k = 3 faster in 7 of 8 alternating pairs of
+# reads 0.354 s (quartiles 0.349-0.364) at k = 3 and 0.365 s
+# (0.355-0.371) at k = 5, k = 3 faster in 5 of 6 alternating pairs of
 # 10 s runs on a shared 2-vCPU Xeon, 2 workers.
 _PROBE_SUBTREES = 3
 
@@ -135,8 +135,8 @@ def _subtree_search(seq: str, prune: bool, cap: int, rep_cap: int | None):
     search(prefix, counting, seed), which searches one canonical-prefix
     subtree on them.
 
-    nbond and bond are indexed by node (index 0 unused).  The search grid
-    is width cells wide, and look maps each step d, as a grid offset, to
+    nbond, bond and node are indexed by node (index 0 unused).  The search
+    grid is width cells wide, and look maps each step d, as a grid offset, to
     one entry per cell e ahead of the step's new cell: e, e's three cells
     ahead, and for each of those cells f, f and its own three cells ahead,
     all as offsets from the new cell.
@@ -151,10 +151,10 @@ def _subtree_search(seq: str, prune: bool, cap: int, rep_cap: int | None):
     # bond[i][q]: nodes i and q can bond (complementary, not consecutive on the chain).
     bond = tuple(tuple(_COMP[code[i]][code[q]] and abs(i - q) != 1 for q in range(length + 1))
                  for i in range(length + 1))
-    # next_row[i]: node i + 1's bond row when that node exists and can bond,
-    # that is when nbond drops across it.
-    next_row = [bond[i + 1] if i < length and nbond[i] > nbond[i + 1] else None
-                for i in range(length + 2)]
+    # node[i]: i's bond row, those of j = i + 1 and k = i + 2 where they
+    # exist and can bond (else None), and nbond[i].
+    rows = [bond[q] if q <= length and code[q] != x else None for q in range(length + 3)]
+    node = [(bond[i], rows[i + 1], rows[i + 2], nbond[i]) for i in range(length + 1)]
     width = 2 * length + 1
     dirs4 = tuple(dx * width + dy for dx, dy in DIRS)
     ahead_of = {d: tuple(e for e in dirs4 if e != -d) for d in dirs4}
@@ -162,11 +162,13 @@ def _subtree_search(seq: str, prune: bool, cap: int, rep_cap: int | None):
                       tuple((e + f, *(e + f + g for g in ahead_of[f])) for f in ahead_of[e]))
                      for e in ahead_of[d])
             for d in dirs4}
-    # Steps after the walk's first turn (steps4) and before it (steps2).
-    steps4: list = []
-    steps4 += [(d, ahead_of[d], steps4, prune) for d in dirs4]
+    # after[d]: the steps of a node reached by step d, once the walk has
+    # turned; steps2: those before its first turn, +x back to steps2 and +y.
+    after: dict = {d: [] for d in dirs4}
+    for d in dirs4:
+        after[d] += [(e, *ahead_of[e], look[e], after[e], prune) for e in ahead_of[d]]
     steps2: list = []
-    steps2 += [steps4[0][:2] + (steps2, prune), steps4[1]]
+    steps2 += [after[dirs4[0]][0][:5] + (steps2, prune), after[dirs4[0]][1]]
 
     def search(prefix: tuple[Point, ...], counting: bool,
                seed: int) -> tuple[int, int, list[tuple[Point, ...]], int, int]:
@@ -185,23 +187,23 @@ def _subtree_search(seq: str, prune: bool, cap: int, rep_cap: int | None):
 
         dfs(n, steps) places node n + 1 inline, by each step in turn whose
         cell is free, and undoes each placement in reverse once its subtree
-        is searched.  A step is (d, ahead, child_steps, check): the move,
-        the new cell's neighbours other than node n's cell at -d, the steps
-        of node n + 2, and whether the bound is checked (prune).  So the
-        canonical-walk rule is data: before its first turn a walk goes +x,
-        back to the same two steps, or turns left (+y) to all four, and each
-        of the four leads to the four.  Node 1 sits at the origin, and each
-        later prefix node is one forced step with check False, so dfs places
-        the prefix too, never prunes it, and may reach the leaf inside it.
-        check is the same for every step of a list, so steps[0][3] stands
-        for the list.
+        is searched.  A step is (d, e1, e2, e3, ring, child_steps, check):
+        the move, the new cell's three neighbours other than node n's cell
+        at -d, ring = look[d], the steps of node n + 2, and whether the
+        bound is checked (prune).  So the canonical-walk rule is data:
+        before its first turn a walk goes +x, back to the same two steps, or
+        turns left (+y), and after it a step leads to the three steps that
+        do not go back.  Node 1 sits at the origin, and each later prefix
+        node is one forced step with check False, so dfs places the prefix
+        too, never prunes it, and may reach the leaf inside it.  check is
+        the same for every step of a list, so steps[0][6] stands for it.
 
         Bond partners are read from the grid: try_node takes as u's
         partners the nodes in the four cells around it that bond[u] admits
         (occ is 0 on an empty cell, and no row admits 0).  For each free
         cell, hit reads i's three cells ahead once; it decides the prunes
         below and whether the placed i tries to augment.  The cells two and
-        three steps ahead that the prunes read come from look.
+        three steps ahead that the prunes read come from the step's ring.
 
         Before its step loop, dfs takes slack = mu + nbond[i] - best - tie
         when check holds, for the node i = n + 1 it places; best only rises
@@ -272,7 +274,8 @@ def _subtree_search(seq: str, prune: bool, cap: int, rep_cap: int | None):
         reps: list[tuple] = []
         pruned = 0
 
-        def dfs(n: int, steps):
+        # Bound as defaults, which dfs reads as locals, faster than closure cells.
+        def dfs(n: int, steps, occ=occ, pos=pos, node=node, try_node=try_node):
             nonlocal best, count, mu, stamp, calls, pruned
             calls += 1
             if n == length:
@@ -289,20 +292,16 @@ def _subtree_search(seq: str, prune: bool, cap: int, rep_cap: int | None):
                 return
             base_cell = pos[n]
             i = n + 1
-            row = bond[i]
-            row_j = next_row[i]
-            row_k = next_row[i + 1]
-            nb = nbond[i]
+            row, row_j, row_k, nb = node[i]
             # slack < 0: i must grow the matching where it lands, and so must
             # nodes j = i + 1 and k = i + 2 if they can bond; slack == 0: j and
             # k must wherever i cannot.  A cell where one of them cannot is
             # pruned unplaced (see search).
-            slack = mu + nb - best - tie if steps[0][3] else 1
-            for d, ahead, child_steps, check in steps:
+            slack = mu + nb - best - tie if steps[0][6] else 1
+            for d, e1, e2, e3, ring, child_steps, check in steps:
                 cell = base_cell + d
                 if occ[cell]:
                     continue
-                e1, e2, e3 = ahead
                 hit = row[occ[cell + e1]] or row[occ[cell + e2]] or row[occ[cell + e3]]
                 if slack <= 0:
                     if not hit and slack:
@@ -312,7 +311,7 @@ def _subtree_search(seq: str, prune: bool, cap: int, rep_cap: int | None):
                         # Keep the cell only if some free e ahead has a partner
                         # of j ahead of it and, when k can bond, some free f
                         # ahead of that e has a partner of k ahead of it.
-                        for e, e1, e2, e3, fs in look[d]:
+                        for e, e1, e2, e3, fs in ring:
                             if occ[cell + e] or not (row_j[occ[cell + e1]] or row_j[occ[cell + e2]]
                                                      or row_j[occ[cell + e3]]):
                                 continue
@@ -357,11 +356,10 @@ def _subtree_search(seq: str, prune: bool, cap: int, rep_cap: int | None):
 
         # The prefix as forced steps, back to front; a walk has turned once it
         # leaves the x axis.
-        steps = steps4 if any(y for _, y in prefix) else steps2
-        for k in range(len(prefix) - 1, 0, -1):
-            (x0, y0), (x1, y1) = prefix[k - 1], prefix[k]
-            d = (x1 - x0) * width + (y1 - y0)
-            steps = [(d, ahead_of[d], steps, False)]
+        moves = [(x1 - x0) * width + (y1 - y0) for (x0, y0), (x1, y1) in zip(prefix, prefix[1:])]
+        steps = after[moves[-1]] if any(y for _, y in prefix) else steps2
+        for d in reversed(moves):
+            steps = [(d, *ahead_of[d], look[d], steps, False)]
         origin = length * width + length
         occ[origin] = 1
         pos[1] = origin
@@ -477,15 +475,17 @@ def exact_solve(
 ) -> SolveReport:
     """Exhaustive optimal-score search over all foldings of the chain.
 
-    Raises LengthLimitError beyond max_length.  representative_cap=None
-    keeps every optimal folding.  With count=False the search returns only
-    the optimal score (optimal_count is None and ties are pruned more
-    aggressively).
+    Raises LengthLimitError beyond max_length and ValueError for workers
+    below 1.  representative_cap=None keeps every optimal folding.  With
+    count=False the search returns only the optimal score (optimal_count
+    is None and ties are pruned more aggressively).
 
     The search recurses once per base, so past about 990 bases (with
     max_length raised, at the default recursion limit of 1000) it raises
     RecursionError; `wcfold` maps that to exit 2.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     length = len(chain)
     if length > max_length:
         raise LengthLimitError(length, max_length)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -12,7 +13,7 @@ from wcfold.model import (Chain, Folding, complementary, contact_graph, parse_ch
                           validate_folding, score)
 from wcfold import solver
 from wcfold.solver import LengthLimitError, exact_solve, optimal_score
-from wcfold.walks import enumerate_walk_points
+from wcfold.walks import DIRS, enumerate_walk_points
 
 from conftest import brute_force_optimum
 from test_walks import canonical_moves
@@ -172,6 +173,17 @@ def test_length_limit():
     assert (report.optimal_score, report.nodes_explored) == (0, 21)
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_workers_must_be_positive(workers):
+    # `wcfold solve --workers` has the same rule; optimal_score goes
+    # through exact_solve.
+    message = f"workers must be at least 1, got {workers}"
+    with pytest.raises(ValueError, match=message):
+        exact_solve(Chain("GGCC"), workers=workers)
+    with pytest.raises(ValueError, match=message):
+        optimal_score(Chain("GGCC"), workers=workers)
+
+
 def test_leaf_count_matches_walk_enumeration():
     # With pruning off, every canonical walk is visited exactly once.
     chain = Chain("X" * 7)
@@ -187,6 +199,26 @@ def test_node_count_is_the_walk_tree_size(length):
     report = exact_solve(Chain("X" * length), prune=False)
     tree_size = sum(len(list(enumerate_walk_points(d))) for d in range(1, length + 1))
     assert report.nodes_explored == tree_size
+
+
+def test_each_subtree_searches_exactly_its_walks():
+    # With pruning off, each of a 13-node chain's 36 subtrees counts exactly
+    # the canonical walks that extend its 6-node prefix, and reports as
+    # nodes exactly the walk-tree nodes below it.  The prefixes end in all
+    # four step directions, so this pins every entry step list, not just
+    # the total over all subtrees.
+    length = 13
+    search = solver._subtree_search("X" * length, False, 0, 0)
+    below = [Counter(walk[:6] for walk in enumerate_walk_points(d)) for d in range(7, length + 1)]
+    prefixes = solver._prefixes(length)
+    assert len(prefixes) == 36
+    last_steps = set()
+    for prefix in prefixes:
+        expected = (0, below[-1][prefix], [], sum(level[prefix] for level in below), 0)
+        assert search(prefix, True, -1) == expected, prefix
+        (x0, y0), (x1, y1) = prefix[-2:]
+        last_steps.add((x1 - x0, y1 - y0))
+    assert last_steps == set(DIRS)
 
 
 @pytest.mark.parametrize("seq, count, expected", [
@@ -350,6 +382,33 @@ def test_search_matches_a_from_scratch_reference(count):
     # exercised, and so is the parity stop in score-only mode.
     assert cuts[True] and cuts[False] and cuts["third node"], cuts
     assert bool(cuts["parity stop"]) == (not count), cuts
+
+
+# sha256 over the reprs of test_reports_are_pinned_byte_for_byte's reports,
+# one per line.  A change that moves the search on purpose re-pins it and
+# gives its reason.
+REPORT_DIGEST = "936d817f65a2e46034238f21d5b44499fb1a51273ebd9b8fcdd9bdb146c2f433"
+
+
+def test_reports_are_pinned_byte_for_byte():
+    # 1,200 reports: 6 random chains of each length 1-15, two each over GC,
+    # GCAU and GCAUX, in count and score-only mode, at workers 1 and 3, with
+    # representative caps None and 4, pruned and, up to 10 bases, unpruned.
+    # nodes_explored, pruned and seed are in the repr, so one node moved
+    # anywhere shows.
+    rng = random.Random(20261021)
+    digest = hashlib.sha256()
+    reports = 0
+    for length in range(1, 16):
+        for alphabet in ("GC", "GC", "GCAU", "GCAU", "GCAUX", "GCAUX"):
+            chain = Chain("".join(rng.choice(alphabet) for _ in range(length)))
+            for prune, count, workers, cap in itertools.product(
+                    (True, False) if length <= 10 else (True,), (True, False), (1, 3), (None, 4)):
+                report = exact_solve(chain, prune=prune, count=count, workers=workers,
+                                     representative_cap=cap)
+                digest.update(repr(report).encode() + b"\n")
+                reports += 1
+    assert (reports, digest.hexdigest()) == (1200, REPORT_DIGEST)
 
 
 def test_worker_determinism_small():

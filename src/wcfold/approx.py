@@ -38,11 +38,17 @@ edge of each side-role assignment is found in closed form by a binary
 search over the position lists: at most (L // 2).bit_length()
 comparisons, which _fold_role returns and
 test_approx_linear_operation_growth in tests/test_approx.py counts.
-Relabelling, listing the matched pairs and the construction, which places
-each node once, are the linear part.  A random 8000-base G/C chain folds
-in 0.013-0.015 s and plans in 0.48-0.50 ms (approx_fold and
-choose_fold_point, median of 5 calls on each of 5 chains, four runs,
-Python 3.11 on a shared 2-vCPU Xeon whose speed drifts).
+Relabelling, listing the matched pairs and the construction are the
+linear part.  The construction runs a fixed number of Python lines per
+matched pair and lays each run of cells with zip in C, and a chain has
+fewer pairs than nodes; test_construction_lines_grow_linearly counts its
+lines with sys.settrace.  It checks the walk it built once, in C
+(model._is_walk), and calls validate_folding only to name the fault of a
+plan that is not a walk.  A random 8000-base G/C chain folds
+in 0.014-0.022 s and plans in 0.64-0.91 ms (approx_fold and
+choose_fold_point, median of 5 calls on each of 5 chains, the median
+over the chains in each of four runs, Python 3.11 on a shared 2-vCPU Xeon
+whose speed drifts by up to 2x between runs).
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ from itertools import compress, repeat
 from operator import eq, itemgetter
 
 from .bounds import parity_census
-from .model import Chain, Folding, score, validate_folding
+from .model import Chain, Folding, _is_walk, score, validate_folding
 
 BRANCH_ODDG_EVENC = "oddG/evenC"
 BRANCH_EVENG_ODDC = "evenG/oddC"
@@ -176,20 +182,38 @@ def choose_fold_point(preferred: RelabeledChain) -> FoldPlan:
     (pairs, *_), fold_index, left, right, branch = max(candidates, key=itemgetter(0))
     return FoldPlan(
         fold_index=fold_index,
-        matched_pairs=tuple((left[t], right[-1 - t]) for t in range(pairs)),
+        matched_pairs=tuple(zip(left[:pairs], right[:-pairs - 1:-1])),
         branch=branch,
     )
 
 
-def _loop_cells_top(col: int, count: int) -> list[tuple[int, int]]:
-    """Cells for `count` (odd) in-between nodes from column col to col+2 on
-    the top row, looping upward inside columns col and col+1."""
-    if count == 1:
-        return [(col + 1, 1)]
-    h = (count - 1) // 2
-    cells = [(col, 1 + k) for k in range(1, h + 1)]
-    cells.append((col + 1, 1 + h))
-    cells.extend((col + 1, y) for y in range(h, 0, -1))
+def _arm_cells(ends: list[int], col: int, row: int, side: int) -> list[tuple[int, int]]:
+    """One arm's cells from its first paired node to its last, in chain order.
+
+    ends are the arm's paired chain indices in chain order.  Each paired
+    node sits on `row` in its own column, the first at col and each next
+    one 2 * side further.  The (odd) in-between nodes before the next one
+    loop away from the interface, inside the two columns they span: a
+    single node sits in the column between, and 2h + 1 of them (h >= 1)
+    run out along column c, across to the peak in column c + side and back
+    to the row.
+    The top arm (row 1, side +1) runs east and loops up; the bottom arm
+    (row 0, side -1), the top one turned half a turn, runs west and loops
+    down.
+    """
+    cells = []
+    for end, nxt in zip(ends, ends[1:]):
+        h = (nxt - end - 2) // 2
+        peak = row + side * h
+        if h > 0:
+            cells.append((col, row))
+            cells += zip(repeat(col), range(row + side, peak + side, side))
+            cells.append((col + side, peak))
+            cells += zip(repeat(col + side), range(peak - side, row - side, -side))
+        else:  # h == 0; a hand-made plan's h < 0 lays these two cells too
+            cells += ((col, row), (col + side, peak))
+        col += 2 * side
+    cells.append((col, row))
     return cells
 
 
@@ -209,41 +233,30 @@ def build_folding(chain: Chain, plan: FoldPlan) -> tuple[Folding, int]:
     length = len(chain)
     pairs = plan.matched_pairs
     if not pairs:
-        folding = Folding(tuple((x, 0) for x in range(length)))
+        folding = Folding(tuple(zip(range(length), repeat(0))))
         return folding, score(chain, folding)[0]
 
+    # Top arm east from column 0, behind its prefix tail; the connector
+    # between the innermost pair round the open end; the bottom arm west
+    # under the top one, then its suffix tail.
     k = len(pairs)
-    cells: list[tuple[int, int]] = []  # node i's cell at cells[i - 1], filled in chain order
-
-    # Top arm: prefix tail west of column 0, pairs at even columns.
-    a_first = pairs[0][0]
-    cells += zip(range(1 - a_first, 0), repeat(1))
-    for t, (a, _) in enumerate(pairs):
-        cells.append((2 * t, 1))
-        if t + 1 < k:
-            cells += _loop_cells_top(2 * t, pairs[t + 1][0] - a - 1)
-
-    # Open-end connector between the innermost pair.
     a_in, b_in = pairs[-1]
-    gap = b_in - a_in - 1  # even and >= 2: chain-adjacent pairs were dropped
-    half = gap // 2
-    col0 = 2 * (k - 1)
-    cells += zip(range(col0 + 1, col0 + 1 + half), repeat(1))
-    cells += zip(range(col0 + half, col0, -1), repeat(0))
-
-    # Bottom arm: pairs mirror the top columns, suffix tail west of column 0.
-    for t in range(k - 1, -1, -1):
-        b = pairs[t][1]
-        cells.append((2 * t, 0))
-        if t > 0:
-            gap = pairs[t - 1][1] - b - 1
-            # The top loop turned half a turn about (2t, 1/2): from column 2t
-            # to 2t-2 on the bottom row, looping downward.
-            cells += [(4 * t - x, 1 - y) for x, y in _loop_cells_top(2 * t, gap)]
-    b_first = pairs[0][1]
-    cells += zip(range(-1, b_first - length - 1, -1), repeat(0))
-
-    folding = validate_folding(chain, cells)
+    half = (b_in - a_in - 1) // 2  # the gap is even: chain-adjacent pairs were dropped
+    last = 2 * k - 2
+    points = (
+        *zip(range(1 - pairs[0][0], 0), repeat(1)),
+        *_arm_cells([a for a, _ in pairs], 0, 1, 1),
+        *zip(range(last + 1, last + 1 + half), repeat(1)),
+        *zip(range(last + half, last, -1), repeat(0)),
+        *_arm_cells([b for _, b in reversed(pairs)], last, 0, -1),
+        *zip(range(-1, pairs[0][1] - length - 1, -1), repeat(0)),
+    )
+    # The cells are ints by construction, so one whole-walk check in C
+    # replaces validate_folding, which runs only to name a fault.
+    if len(points) != length or not _is_walk(points):
+        validate_folding(chain, points)
+        raise AssertionError("validate_folding accepted a walk the construction check rejected")
+    folding = Folding(points)
     achieved = score(chain, folding)[0]
     if achieved < k:
         raise AssertionError("construction must realize every matched pair")

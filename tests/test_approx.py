@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import math
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wcfold import approx
 from wcfold.approx import (
     BRANCH_EVENG_ODDC,
     BRANCH_ODDG_EVENC,
@@ -20,7 +23,7 @@ from wcfold.approx import (
     relabel,
 )
 from wcfold.bounds import parity_bound
-from wcfold.model import Chain, parse_chain, validate_folding
+from wcfold.model import Chain, FoldingValidationError, parse_chain, validate_folding
 from wcfold.solver import optimal_score
 
 
@@ -258,6 +261,91 @@ def test_approx_linear_operation_growth():
             assert cur <= prev + 8
         # Every seed but the all-G one has pairs to search for.
         assert probes[0] > 0 or "C" not in seq, seq[:8]
+
+
+def _construction_lines(chain):
+    """Line events in approx.py's frames (build_folding and _arm_cells)
+    while build_folding realizes the chain's plan.  Scoring runs in
+    model.py and matching.py, and each zip run lays its cells in C, so
+    neither adds lines here."""
+    plan = choose_fold_point(relabel(chain))
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        lines += event == "line"
+        return local
+
+    def enter(frame, event, arg):
+        return local if frame.f_code.co_filename == approx.__file__ else None
+
+    sys.settrace(enter)
+    try:
+        build_folding(chain, plan)
+    finally:
+        sys.settrace(None)
+    return lines
+
+
+def test_construction_lines_grow_linearly():
+    """The construction runs a fixed number of lines per matched pair, and a
+    chain has fewer pairs than nodes: doubling the chain (by repeating it)
+    at most doubles the count, give or take a pair or two."""
+    rng = random.Random(2)
+    seeds = ["GC" * 32, "G" * 32 + "C" * 32, "GGCC" * 16, "G" * 64,
+             "".join(rng.choice("GC") for _ in range(64))]
+    for seq in seeds:
+        lines = []
+        for _ in range(7):  # 64 .. 4096 bases
+            lines.append(_construction_lines(Chain(seq)))
+            seq += seq
+        for prev, cur in zip(lines, lines[1:]):
+            assert cur <= 2 * prev + 40, (seq[:8], lines)
+        # Every seed but the all-G one has pairs, so its count grows.
+        assert (lines[-1] > lines[0]) == ("C" in seq), (seq[:8], lines)
+
+
+# sha256 over (fold_index, branch, matched_pairs, points, achieved) of 200
+# random G/C chains, one repr per line, pinned before build_folding's
+# construction and check were rewritten.  A change that moves a plan or a
+# cell on purpose re-pins it and gives its reason.
+APPROX_DIGEST = "8b6aa8b80ad41bd69db657d09a0a8530ef89e8202f2980c20d58a1679cfcd0b1"
+
+
+def test_plans_and_foldings_are_pinned_byte_for_byte():
+    # Lengths are log-uniform over 1-4,999 bases and each chain draws its
+    # own G share, so short chains, pairless ones and skewed ones all occur.
+    rng = random.Random(35)
+    digest = hashlib.sha256()
+    bases = 0
+    for _ in range(200):
+        length = int(5000 ** rng.random())
+        share = rng.random()
+        chain = Chain("".join("G" if rng.random() < share else "C" for _ in range(length)))
+        plan = choose_fold_point(relabel(chain))
+        folding, achieved = build_folding(chain, plan)
+        digest.update(repr((plan.fold_index, plan.branch, plan.matched_pairs,
+                            folding.points, achieved)).encode() + b"\n")
+        bases += length
+    assert (bases, digest.hexdigest()) == (116554, APPROX_DIGEST)
+
+
+@pytest.mark.parametrize("length,pairs,message,index", [
+    # 4 - 1 - 1 = 2 nodes between the first two left ends: the loop lays one.
+    (11, ((1, 11), (4, 9)), "folding has 10 points for a chain of length 11", 10),
+    # (1, 12) and (5, 13) cross, so the bottom arm steps back from node 13
+    # to 12 and that loop turns up into the top arm; the even gap between
+    # 5 and 8 keeps the point count right, so the fault named is that
+    # loop's peak, at index 11, landing on index 3's cell.
+    (13, ((1, 12), (5, 13), (8, 10)),
+     "self-intersection at index 11 (point (1, 2) already used at index 3)", 11),
+], ids=["even-gap", "crossed"])
+def test_build_folding_names_the_fault_of_a_plan_that_is_not_a_walk(length, pairs, message, index):
+    # The messages are the ones validate_folding gave before build_folding
+    # checked its own walk first.
+    with pytest.raises(FoldingValidationError) as caught:
+        build_folding(Chain("G" * length), FoldPlan(5, pairs, BRANCH_ODDG_EVENC))
+    assert (str(caught.value), caught.value.index) == (message, index)
 
 
 def test_approx_scope_error():

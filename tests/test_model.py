@@ -61,6 +61,56 @@ def test_parse_empty():
         parse_chain("   ")
 
 
+def loop_parse_chain(text):
+    """parse_chain as a loop over the characters, one at a time: the
+    reference that the C-level version must match."""
+    cleaned = []
+    for ch in text:
+        if ch.isspace():
+            continue
+        up = ch.upper()
+        if up not in BASES:
+            raise ChainParseError(
+                f"invalid base {ch!r} at position {len(cleaned) + 1}", len(cleaned) + 1
+            )
+        cleaned.append(up)
+    if not cleaned:
+        raise ChainParseError("empty sequence", 1)
+    return Chain("".join(cleaned))
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ChainParseError as exc:
+        return str(exc), exc.position
+
+
+# Bases in both cases; whitespace that split() and isspace() both skip,
+# ASCII and not; strays, ASCII and not; and characters whose upper case
+# is longer than they are (sharp s, the ff ligature, a with right half
+# ring), which must be named as they were written.
+_PARSE_KEPT = "GCAUXgcaux \t\n\r\x0b\x0c\x1c\x1f\x85\xa0\u2000\u2028\u3000"
+_PARSE_STRAYS = "ZnN1-é\u0130\u0131\uff47\xdf\ufb00\u1e9a"
+
+
+@pytest.mark.parametrize("text", ["gc\xdf", "\ufb00", " g\n\u1e9ac", "GC\u3000au", "\u2028\x85 ", ""],
+                         ids=["sharp-s", "ff-ligature", "half-ring", "ideographic-space",
+                              "only-whitespace", "empty"])
+def test_parse_matches_loop_on_named_cases(text):
+    assert _parse_outcome(parse_chain, text) == _parse_outcome(loop_parse_chain, text)
+
+
+@given(st.lists(st.sampled_from(_PARSE_KEPT), max_size=40),
+       st.lists(st.sampled_from(_PARSE_KEPT + _PARSE_STRAYS), max_size=10))
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_loop_on_random_text(head, tail):
+    # A head of bases and whitespace, then any characters, so that the
+    # first stray, when there is one, can sit deep in the text.
+    text = "".join(head + tail)
+    assert _parse_outcome(parse_chain, text) == _parse_outcome(loop_parse_chain, text)
+
+
 def test_validate_unit_square():
     chain = parse_chain("GGCC")
     folding = validate_folding(chain, [(0, 0), (1, 0), (1, 1), (0, 1)])

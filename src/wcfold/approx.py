@@ -1,7 +1,8 @@
 """Constant-factor approximate folding for G/C chains.
 
-The chain is first relabeled by parity dominance: whichever of the pairings
-(odd-G with even-C) or (even-G with odd-C) admits more bonds keeps its two
+The chain is first relabeled by parity dominance: of (odd-G, even-C) and
+(odd-C, even-G), the census-preferred branch, the one whose
+bounds.parity_terms term is larger (oddG/evenC on a tie), keeps its two
 classes, called odd-1 and even-1, and every other node is ignored.  This
 throws away at most half of the parity bound.  A relabel branch is just the
 two sorted position lists of its classes.  A fold point, one chain edge,
@@ -28,9 +29,9 @@ branches.  Every pair is a bond, so whenever opt >= 1,
 which is P for P <= 6, at most 5 for 7 <= P <= 13 (5 at P = 10), and at
 most 4P / (P - 2) <= 14/3 beyond, since floor(ceil(P/2) / 2) >= (P - 2)/4.
 Its maximum is 6, at P = 6.  test_criterion_5 checks achieved >=
-ceil(opt / 6) over every G/C chain of 6-14 bases, and a CI step over
-every one of 16 bases; they pin the worst ratio found at each even
-length: 2, 3, 4, 5, 5 and 4.
+ceil(opt / 6) over every G/C chain of 5-14 bases, and a CI step over
+every one of 15-17 bases; they pin the worst ratio found at each length
+from 5 to 17: 1, 2, 2, 3, 3, 4, 4, 5, 5, 5, 4, 4 and 4.
 
 Planning (choose_fold_point) and building (build_folding) are separate
 steps, so a caller can report the plan that was actually built.  The best
@@ -57,11 +58,13 @@ from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import eq, itemgetter
 
-from .bounds import parity_census
-from .model import Chain, Folding, _is_walk, score, validate_folding
+from .bounds import parity_terms
+from .model import COMPLEMENT, Chain, Folding, _is_walk, score, validate_folding
 
 BRANCH_ODDG_EVENC = "oddG/evenC"
 BRANCH_EVENG_ODDC = "evenG/oddC"
+# Each relabel branch's odd-1 base, which keys its parity_terms term.
+_ODD_BASE = {BRANCH_ODDG_EVENC: "G", BRANCH_EVENG_ODDC: "C"}
 
 
 class ScopeError(ValueError):
@@ -94,9 +97,9 @@ class FoldPlan:
 
 
 def _relabel_as(chain: Chain, branch: str) -> RelabeledChain:
-    # odd-1 is the odd-index G (oddG/evenC) or C (evenG/oddC), and even-1 the
-    # even-index other base; the slices are the ones parity_census counts.
-    odd_base, even_base = ("G", "C") if branch == BRANCH_ODDG_EVENC else ("C", "G")
+    # odd-1 is the branch's odd-index base, and even-1 its even-index
+    # complement; the slices are the ones parity_terms counts.
+    odd_base = _ODD_BASE[branch]
     seq, end = chain.seq, len(chain) + 1
     return RelabeledChain(
         chain=chain,
@@ -104,18 +107,17 @@ def _relabel_as(chain: Chain, branch: str) -> RelabeledChain:
         odd_one_positions=tuple(
             compress(range(1, end, 2), map(eq, seq[0::2], repeat(odd_base)))),
         even_one_positions=tuple(
-            compress(range(2, end, 2), map(eq, seq[1::2], repeat(even_base)))),
+            compress(range(2, end, 2), map(eq, seq[1::2], repeat(COMPLEMENT[odd_base])))),
     )
 
 
 def relabel(chain: Chain) -> RelabeledChain:
-    """The census-preferred branch: the parity classes that admit more bonds."""
+    """The census-preferred branch: the one whose parity_terms term is
+    larger, oddG/evenC on a tie."""
     if set(chain.seq) - {"G", "C"}:
         raise ScopeError("the approximation applies to chains over G and C only")
-    c = parity_census(chain)
-    if min(c.odd_g, c.even_c) >= min(c.even_g, c.odd_c):
-        return _relabel_as(chain, BRANCH_ODDG_EVENC)
-    return _relabel_as(chain, BRANCH_EVENG_ODDC)
+    terms = parity_terms(chain)
+    return _relabel_as(chain, max(_ODD_BASE, key=lambda branch: terms[_ODD_BASE[branch]]))
 
 
 def _fold_role(

@@ -4,9 +4,9 @@ Two bounds apply to every folding of a chain:
 
 * the bounding-box bound, n - 1 bonds for a chain of length 2n, from
   counting corner and extreme nodes of the folding's bounding box;
-* the parity bound, min(odd-G, even-C) + min(even-G, odd-C) (plus the
-  analogous A/U terms), because bonded nodes sit on adjacent lattice points
-  and therefore have opposite index parity.
+* the parity bound, the sum of parity_terms: bonded nodes sit on adjacent
+  lattice points and so have opposite index parity, and each odd-index
+  base b bonds only with an even-index COMPLEMENT[b] (model.COMPLEMENT).
 
 The generators build the G^n C^n block family, its 2 x n hairpin folding
 (which attains n - 1 bonds and is uniquely optimal for n > 3), and the
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import Chain, Folding
+from .model import COMPLEMENT, Chain, Folding
 
 
 def bounding_box_bound(length: int) -> int:
@@ -65,21 +65,19 @@ def parity_census(chain: Chain) -> ParityCensus:
     )
 
 
-def parity_bound(chain: Chain) -> int:
-    """Parity upper bound on bonds over all foldings of the chain.
+def parity_terms(chain: Chain) -> dict[str, int]:
+    """For each base b of model.COMPLEMENT, the bonds that odd-index b
+    nodes can make: min(#odd-index b, #even-index COMPLEMENT[b])."""
+    odd, even = chain.seq[0::2], chain.seq[1::2]  # 1-based odd and even indices
+    return {b: min(odd.count(b), even.count(c)) for b, c in COMPLEMENT.items()}
 
-    min(odd-G, even-C) + min(even-G, odd-C) for the G/C pair; the identical
-    argument applied to A/U adds min(odd-A, even-U) + min(even-A, odd-U).
-    The A/U terms are an extension beyond the G/C-only statement and are
-    flagged by ParityCensus.has_au for callers that care.
+
+def parity_bound(chain: Chain) -> int:
+    """Parity upper bound on bonds over all foldings of the chain: the sum
+    of parity_terms.  The A/U terms are an extension beyond the G/C-only
+    statement and are flagged by ParityCensus.has_au for callers that care.
     """
-    c = parity_census(chain)
-    return (
-        min(c.odd_g, c.even_c)
-        + min(c.even_g, c.odd_c)
-        + min(c.odd_a, c.even_u)
-        + min(c.even_a, c.odd_u)
-    )
+    return sum(parity_terms(chain).values())
 
 
 def gc_block_chain(n: int) -> Chain:

@@ -288,9 +288,11 @@ def _cmd_reduce(args) -> tuple[ResultDocument | None, int]:
     doc.outputs["bondable"] = instance.bondable
     doc.outputs["tail_length"] = instance.tail_length
     doc.outputs["digest"] = sequence_digest(instance.chain.seq)
-    assignments = [_parse_assignment(a) for a in args.assign] or [instance.build_assignment]
-    # Trace every assignment first: a bad one fails before any file is written.
-    foldings = {_assignment_tag(a): instance.intended_folding(a) for a in assignments}
+    parsed = [_parse_assignment(a) for a in args.assign] or [instance.build_assignment]
+    assignments = {_assignment_tag(a): a for a in parsed}
+    # Route every assignment first, so a bad one fails before any file is written.
+    for a in assignments.values():
+        instance.route(a)
     if args.out_prefix:
         seq_path = Path(f"{args.out_prefix}.seq")
         seq_path.write_text(instance.chain.seq + "\n")
@@ -298,9 +300,9 @@ def _cmd_reduce(args) -> tuple[ResultDocument | None, int]:
         meta_path = Path(f"{args.out_prefix}.meta")
         meta_path.write_text(doc.to_text())
         doc.outputs["metadata_file"] = str(meta_path)
-        for tag, folding in foldings.items():
+        for tag, a in assignments.items():  # only a written file needs a whole folding
             fold_path = Path(f"{args.out_prefix}.{tag}.fold")
-            write_folding_file(fold_path, folding, comment=f"assignment {tag}")
+            write_folding_file(fold_path, instance.intended_folding(a), comment=f"assignment {tag}")
             doc.outputs[f"folding_file_{tag}"] = str(fold_path)
     return doc, EXIT_OK
 

@@ -52,7 +52,7 @@ from itertools import chain as _chain, compress, repeat
 from operator import itemgetter
 
 from ..bounds import hairpin_folding
-from ..model import COMPLEMENT, Chain, Folding, Point, _is_walk, validate_folding, score
+from ..model import COMPLEMENT, Chain, Folding, Point, _is_walk, complementary, score, validate_folding
 from .gadgets import PERIODS
 from .layout import LayoutError, SatLayout, Segment, Turn, _opposite
 
@@ -208,33 +208,8 @@ class ReductionInstance:
     layout: SatLayout
     zip_pairs: tuple[tuple[int, int], ...]       # molecule index pairs
 
-    def _trace(self, assignment: dict[str, bool]) -> _Tracer:
-        """The assignment's trace, its variables checked."""
-        missing = [v for v in self.layout.variables if v not in assignment]
-        if missing:
-            raise LayoutError(f"assignment missing variables {missing}")
-        unknown = sorted(set(assignment) - set(self.layout.variables))
-        if unknown:
-            raise LayoutError(f"assignment names unknown variables {unknown}")
-        tracer = _Tracer(self.layout, {v: bool(assignment[v]) for v in self.layout.variables})
-        tracer.run()
-        return tracer
-
-    def _checked_route(self, tracer: _Tracer) -> tuple[Point, ...]:
-        """The trace's route cells, outbound then returning, checked as
-        intended_folding describes."""
-        route = tuple(map(itemgetter(0), _chain(tracer.a, reversed(tracer.b))))
-        lead_end = (_LEAD_TAIL[0] + 1, _LEAD_TAIL[1])
-        if not _is_walk((lead_end,) + route + (_END_TAIL,)) or _hits_tail(route, self.tail_length):
-            try:
-                validate_folding(self.chain, _with_tails(route, self.tail_length))
-            except ValueError as exc:
-                raise LayoutError(f"route crosses itself: {exc}") from exc
-            raise AssertionError("the route check rejected a valid walk")
-        return route
-
-    def intended_folding(self, assignment: dict[str, bool]) -> Folding:
-        """The assignment's folding: lead tail, route, end tail.
+    def route(self, assignment: dict[str, bool]) -> tuple[Point, ...]:
+        """The assignment's route cells, outbound then returning, checked.
 
         The tails are fixed rectangles anchored at the route start, so only
         the route is checked: as a walk from the lead tail's last cell to
@@ -246,8 +221,33 @@ class ReductionInstance:
         or names one the layout does not declare, or when its route
         crosses itself or a tail.
         """
-        route = self._checked_route(self._trace(assignment))
-        return Folding(_with_tails(route, self.tail_length))
+        missing = [v for v in self.layout.variables if v not in assignment]
+        if missing:
+            raise LayoutError(f"assignment missing variables {missing}")
+        unknown = sorted(set(assignment) - set(self.layout.variables))
+        if unknown:
+            raise LayoutError(f"assignment names unknown variables {unknown}")
+        tracer = _Tracer(self.layout, {v: bool(assignment[v]) for v in self.layout.variables})
+        tracer.run()
+        return self._checked_route(tracer)
+
+    def _checked_route(self, tracer: _Tracer) -> tuple[Point, ...]:
+        """The trace's route cells, outbound then returning, checked as
+        route describes."""
+        route = tuple(map(itemgetter(0), _chain(tracer.a, reversed(tracer.b))))
+        lead_end = (_LEAD_TAIL[0] + 1, _LEAD_TAIL[1])
+        if not _is_walk((lead_end,) + route + (_END_TAIL,)) or _hits_tail(route, self.tail_length):
+            try:
+                validate_folding(self.chain, _with_tails(route, self.tail_length))
+            except ValueError as exc:
+                raise LayoutError(f"route crosses itself: {exc}") from exc
+            raise AssertionError("the route check rejected a valid walk")
+        return route
+
+    def intended_folding(self, assignment: dict[str, bool]) -> Folding:
+        """The assignment's folding: lead tail, route (checked by route),
+        end tail.  Raises LayoutError as route does."""
+        return Folding(_with_tails(self.route(assignment), self.tail_length))
 
     @property
     def build_assignment(self) -> dict[str, bool]:
@@ -344,7 +344,7 @@ def _certify_k(instance: ReductionInstance, tracer: _Tracer) -> None:
     for i, j in instance.zip_pairs:
         (xi, yi), (xj, yj) = route[i - start - 1], route[j - start - 1]
         adjacent = abs(xi - xj) + abs(yi - yj) == 1
-        if not adjacent or COMPLEMENT.get(seq[i - 1]) != seq[j - 1] or j - i < 2:
+        if not adjacent or not complementary(seq[i - 1], seq[j - 1]) or j - i < 2:
             raise AssertionError(
                 f"zip pair {(i, j)} is not a contact of the building route, "
                 f"so k = {k} is not certified"
@@ -357,7 +357,7 @@ def verify_instance(instance: ReductionInstance, assignment: dict[str, bool]) ->
     """Trace and check the assignment's route and count its bonds against k.
     Only the route is scored: X bonds with nothing, and the route's slice
     of the chain keeps chain adjacency, so the count is the molecule's."""
-    route = instance._checked_route(instance._trace(assignment))
+    route = instance.route(assignment)
     start = instance.tail_length
     bonds = score(Chain(instance.chain.seq[start:start + len(route)]), Folding(route))[0]
     return bonds, bonds >= instance.k

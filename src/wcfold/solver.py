@@ -61,7 +61,7 @@ import signal
 from dataclasses import dataclass
 
 from .bounds import bounding_box_bound, parity_bound
-from .model import Chain, Folding, Point, complementary
+from .model import COMPLEMENT, Chain, Folding, Point
 from .walks import DIRS, enumerate_walk_points
 
 DEFAULT_MAX_LENGTH = 20
@@ -79,12 +79,6 @@ _PREFIX_NODES = 6
 # (0.355-0.371) at k = 5, k = 3 faster in 5 of 6 alternating pairs of
 # 10 s runs on a shared 2-vCPU Xeon, 2 workers.
 _PROBE_SUBTREES = 3
-
-# Base codes; X, which never bonds, also stands for no node.
-_BASES = "GCAUX"
-_CODE = {b: c for c, b in enumerate(_BASES)}
-# Complementarity on base codes, from which _subtree_search builds its bond rows.
-_COMP = tuple(tuple(complementary(a, b) for b in _BASES) for a in _BASES)
 
 
 class _Stop(Exception):
@@ -142,18 +136,19 @@ def _subtree_search(seq: str, prune: bool, cap: int, rep_cap: int | None):
     all as offsets from the new cell.
     """
     length = len(seq)
-    x = _CODE["X"]
-    code = [x] + [_CODE[ch] for ch in seq]
+    # Node i carries bases[i]; X, which never bonds, also stands for no node.
+    bases = "X" + seq
     # nbond[p]: number of bondable nodes with index > p.
     nbond = [0] * (length + 1)
     for p in range(length - 1, -1, -1):
-        nbond[p] = nbond[p + 1] + (code[p + 1] != x)
-    # bond[i][q]: nodes i and q can bond (complementary, not consecutive on the chain).
-    bond = tuple(tuple(_COMP[code[i]][code[q]] and abs(i - q) != 1 for q in range(length + 1))
-                 for i in range(length + 1))
+        nbond[p] = nbond[p + 1] + (bases[p + 1] != "X")
+    # bond[i][q]: nodes i and q can bond (complementary, not consecutive on
+    # the chain); each row reads its node's complement once.
+    bond = tuple(tuple(b == partner and abs(i - q) != 1 for q, b in enumerate(bases))
+                 for i, partner in enumerate(map(COMPLEMENT.get, bases)))
     # node[i]: i's bond row, those of j = i + 1 and k = i + 2 where they
     # exist and can bond (else None), and nbond[i].
-    rows = [bond[q] if q <= length and code[q] != x else None for q in range(length + 3)]
+    rows = [bond[q] if q <= length and bases[q] != "X" else None for q in range(length + 3)]
     node = [(bond[i], rows[i + 1], rows[i + 2], nbond[i]) for i in range(length + 1)]
     width = 2 * length + 1
     dirs4 = tuple(dx * width + dy for dx, dy in DIRS)

@@ -146,16 +146,19 @@ def test_criterion_4_matching_oracle(walks_by_length):
 
 # Per length, the worst optimum / achieved and its first chain in product
 # order; the approx module docstring proves the ratio never exceeds 6.
-WORST_APPROX_RATIO = {6: (2, "GGGCGC"), 8: (3, "GGCCCGCG"), 10: (4, "GGGCCCCGCG"),
-                      12: (5, "GGGCGCCGCGCG"), 14: (5, "GGCGCGCCGCGCGG"),
-                      16: (4, "GGGCGGCGGGCGGCGG")}
+WORST_APPROX_RATIO = {5: (1, "GGGGC"), 6: (2, "GGGCGC"), 7: (2, "GGGGGCC"),
+                      8: (3, "GGCCCGCG"), 9: (3, "GGGGCCCGG"), 10: (4, "GGGCCCCGCG"),
+                      11: (4, "GGGCGCGGCGC"), 12: (5, "GGGCGCCGCGCG"),
+                      13: (5, "GGCGCGCCGCGGG"), 14: (5, "GGCGCGCCGCGCGG"),
+                      15: (4, "GGGCGGCGGGCGGCG"), 16: (4, "GGGCGGCGGGCGGCGG"),
+                      17: (4, "GGGCGGCGGGCGGCGGG")}
 
 
 def approximation_ratio_sweep(lengths):
     """Criterion 5 over every G/C chain of the given lengths.
 
-    Tier-1 sweeps 6-14 bases; a CI step sweeps 16 (65,536 chains, 24
-    solves, about 8 s).
+    Tier-1 sweeps every length of 5-14 bases, odd ones included (32,736
+    chains, about 4 s); a CI step sweeps 15, 16 and 17.
     """
     # opt <= the parity bound P, so the solver runs only where it could
     # matter: where achieved is 0 but P is not, or where P / achieved
@@ -192,7 +195,7 @@ def approximation_ratio_sweep(lengths):
 
 
 def test_criterion_5_approximation_ratio():
-    approximation_ratio_sweep((6, 8, 10, 12, 14))
+    approximation_ratio_sweep(range(5, 15))
 
 
 # The mixed family's only chains with more than one optimal folding: the

@@ -22,7 +22,7 @@ from wcfold.approx import (
     pair_floor_guarantee,
     relabel,
 )
-from wcfold.bounds import parity_bound
+from wcfold.bounds import parity_bound, parity_census
 from wcfold.model import Chain, FoldingValidationError, parse_chain, validate_folding
 from wcfold.solver import optimal_score
 
@@ -56,6 +56,17 @@ def test_relabel_positions_exhaustive():
                     i for i in range(1, length + 1) if i % 2 and seq[i - 1] == ones[0])
                 assert rl.even_one_positions == tuple(
                     i for i in range(1, length + 1) if not i % 2 and seq[i - 1] == ones[1])
+
+
+def test_relabel_branch_matches_the_census_rule():
+    """The branch is the one the census terms prefer, oddG/evenC on a tie."""
+    for length in range(1, 15):
+        for combo in itertools.product("GC", repeat=length):
+            chain = Chain("".join(combo))
+            c = parity_census(chain)
+            expected = (BRANCH_ODDG_EVENC if min(c.odd_g, c.even_c) >= min(c.even_g, c.odd_c)
+                        else BRANCH_EVENG_ODDC)
+            assert relabel(chain).branch == expected, chain.seq
 
 
 def test_relabel_scope():

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import asdict
 
@@ -12,6 +13,7 @@ from wcfold.bounds import (
     mixed_block_chain,
     parity_bound,
     parity_census,
+    parity_terms,
 )
 from wcfold.model import Chain, Folding, parse_chain, score, validate_folding
 
@@ -55,6 +57,25 @@ def test_parity_census_ignores_x():
 )
 def test_parity_bound_values(seq, expected):
     assert parity_bound(parse_chain(seq)) == expected
+
+
+def _four_term_parity_bound(chain):
+    """The parity bound as its four census terms, written out."""
+    c = parity_census(chain)
+    return (min(c.odd_g, c.even_c) + min(c.even_g, c.odd_c)
+            + min(c.odd_a, c.even_u) + min(c.even_a, c.odd_u))
+
+
+def test_parity_bound_matches_the_four_term_formula():
+    for length in range(1, 8):
+        for combo in itertools.product("AUGCX", repeat=length):
+            chain = Chain("".join(combo))
+            assert parity_bound(chain) == _four_term_parity_bound(chain), chain.seq
+
+
+def test_parity_terms_pair_each_odd_base_with_its_even_complement():
+    # Odd indices 1, 3, ..., 11 hold G U X A G A; even ones A C X U C.
+    assert parity_terms(parse_chain("GAUCXXAUGCA")) == {"G": 2, "C": 0, "A": 1, "U": 1}
 
 
 def test_gc_block_chain():

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import itertools
 import json
 import re
@@ -326,6 +327,34 @@ def test_reduce_and_verify(capsys, tmp_path):
     assert "output.meets_k: true\n" in out
 
 
+assemble_module = importlib.import_module("wcfold.reduction.assemble")
+
+
+def test_reduce_builds_whole_foldings_only_for_the_files_it_writes(capsys, tmp_path, monkeypatch):
+    # The X tails are over 99% of a folding; without --out-prefix no folding
+    # is built, and with it one per fold file written.
+    calls = []
+
+    def counted(route, tail_length):
+        calls.append(tail_length)
+        return with_tails(route, tail_length)
+
+    with_tails = assemble_module._with_tails
+    monkeypatch.setattr(assemble_module, "_with_tails", counted)
+    layout = tmp_path / "fixture.layout"
+    layout.write_text(bundled_layout_text("single_clause"))
+    assign = ("--assign", "x=true", "--assign", "x=false")
+    code, out, _ = run_cli(capsys, "reduce", str(layout), *assign)
+    assert code == 0
+    assert "output.digest: 243ab5e3cccf\n" in out
+    assert calls == []
+    code, _, _ = run_cli(capsys, "reduce", str(layout), "--out-prefix", str(tmp_path / "inst"),
+                         *assign, "--assign", "x=true")
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.glob("inst.*.fold")) == ["inst.xF.fold", "inst.xT.fold"]
+    assert len(calls) == 2
+
+
 def test_reduce_dotted_out_prefix_names_every_file_after_it(capsys, tmp_path):
     # Each run keeps its own files: run.2 does not overwrite run.1's .seq/.meta.
     layout = tmp_path / "fixture.layout"
@@ -397,6 +426,17 @@ def test_verify_reports_crossing_assignment(capsys, tmp_path):
     # The whole-walk check's message, naming the first offending index.
     assert err == ("error: route crosses itself: self-intersection at index 54435 "
                    "(point (10, 60) already used at index 54361)\n")
+
+
+def test_reduce_writes_nothing_when_a_route_crosses_itself(capsys, tmp_path):
+    layout = tmp_path / "crossing.layout"
+    layout.write_text(CROSSING_LAYOUT)
+    code, out, err = run_cli(capsys, "reduce", str(layout), "--out-prefix", str(tmp_path / "inst"),
+                             "--assign", "x0=true,x1=true", "--assign", "x0=true,x1=false")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: route crosses itself: self-intersection at index 54435 ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["crossing.layout"]
 
 
 def test_verify_rejects_uncoupled_clause(capsys, tmp_path):
